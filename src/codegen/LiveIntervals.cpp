@@ -110,17 +110,26 @@ std::vector<LiveInterval> sxe::computeLiveIntervals(MFunction &MF) {
     if (Seen[R])
       Intervals.push_back(ByVReg[R]);
 
-  // Mark intervals that must survive a call.
-  std::vector<uint32_t> CallPositions;
+  // Mark intervals that must survive a call. A call at the interval's
+  // first position counts too: a value live into a block that opens with a
+  // call starts there. Only the call's own result starts there without
+  // crossing it.
+  struct CallSite {
+    uint32_t Pos;
+    uint32_t Def;
+  };
+  std::vector<CallSite> Calls; // Ascending Pos: layout order.
   for (const auto &B : MF.Blocks)
     for (const MInst &I : B->Insts)
       if (I.isCall())
-        CallPositions.push_back(I.Pos);
-  std::sort(CallPositions.begin(), CallPositions.end());
+        Calls.push_back({I.Pos, I.Def});
   for (LiveInterval &LI : Intervals) {
-    auto It = std::upper_bound(CallPositions.begin(), CallPositions.end(),
-                               LI.Start);
-    if (It != CallPositions.end() && *It < LI.End)
+    auto It = std::lower_bound(
+        Calls.begin(), Calls.end(), LI.Start,
+        [](const CallSite &C, uint32_t Pos) { return C.Pos < Pos; });
+    if (It != Calls.end() && It->Pos == LI.Start && It->Def == LI.VReg)
+      ++It;
+    if (It != Calls.end() && It->Pos < LI.End)
       LI.CrossesCall = true;
   }
 

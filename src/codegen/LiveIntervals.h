@@ -42,8 +42,9 @@ struct LiveInterval {
   uint32_t VReg = MNoReg;
   uint32_t Start = 0; ///< First position where the vreg is live.
   uint32_t End = 0;   ///< Last position where the vreg is live (inclusive).
-  /// True when a call instruction lies strictly inside (Start, End): the
-  /// value must survive the call, so only callee-saved registers qualify.
+  /// True when a call instruction lies in [Start, End) and does not define
+  /// this value: the value must survive the call, so only callee-saved
+  /// registers qualify.
   bool CrossesCall = false;
 
   // Register-allocator output.

@@ -225,6 +225,60 @@ TEST(LiveIntervalTest, LoopCarriedValueCoversWholeLoop) {
   EXPECT_GE(SumLI->End, BodyEnd);
 }
 
+TEST(LiveIntervalTest, CallAtIntervalStartCountsAsCrossing) {
+  // `callsite` opens with a call and is laid out before `setup`, which
+  // defines V; V is live into `callsite`, so its interval starts on the
+  // call itself and must still be marked as crossing it. The call's own
+  // result starts there too but does not cross it.
+  Module M("m");
+  Function *Clobber = M.createFunction("clobber", Type::I64);
+  {
+    IRBuilder Bld(Clobber);
+    Bld.startBlock("entry");
+    Bld.ret(Bld.constI64(14));
+  }
+  Function *F = M.createFunction("main", Type::I64);
+  IRBuilder Bld(F);
+  BasicBlock *Entry = Bld.startBlock("entry");
+  BasicBlock *CallSite = F->createBlock("callsite");
+  BasicBlock *Setup = F->createBlock("setup");
+  BasicBlock *Done = F->createBlock("done");
+  Reg V = F->newReg(Type::I64, "v");
+  Reg C = F->newReg(Type::I64, "c");
+  Bld.setBlock(Entry);
+  Bld.jmp(Setup);
+  Bld.setBlock(CallSite);
+  Bld.callTo(C, Clobber, {});
+  Bld.jmp(Done);
+  Bld.setBlock(Setup);
+  Bld.constTo(V, 1000);
+  Bld.jmp(CallSite);
+  Bld.setBlock(Done);
+  Bld.ret(Bld.add64(V, C, "r"));
+
+  auto MIR = lowerModule(M);
+  MFunction &MF = *MIR->find("main");
+  auto Intervals = computeLiveIntervals(MF);
+  uint32_t CallPos = MF.Blocks[1]->Insts.front().Pos;
+  ASSERT_TRUE(MF.Blocks[1]->Insts.front().isCall());
+
+  const LiveInterval *VLI = nullptr, *CLI = nullptr;
+  for (const auto &LI : Intervals) {
+    if (LI.VReg == FirstVirtReg + V)
+      VLI = &LI;
+    if (LI.VReg == FirstVirtReg + C)
+      CLI = &LI;
+  }
+  ASSERT_NE(VLI, nullptr);
+  ASSERT_NE(CLI, nullptr);
+  EXPECT_EQ(VLI->Start, CallPos);
+  EXPECT_TRUE(VLI->CrossesCall);
+  EXPECT_EQ(CLI->Start, CallPos);
+  EXPECT_FALSE(CLI->CrossesCall);
+
+  expectNativeMatchesInterp(M);
+}
+
 // --- Register allocation ----------------------------------------------------
 
 /// Builds a function keeping \p Live values simultaneously live, then
@@ -644,7 +698,8 @@ INSTANTIATE_TEST_SUITE_P(Corpus, CorpusNativeParity,
                                            "reduced_w32_inductive_sext",
                                            "generated_small",
                                            "generated_medium",
-                                           "generated_large"));
+                                           "generated_large",
+                                           "reduced_call_at_block_head"));
 
 // --- Cycle model ------------------------------------------------------------
 
