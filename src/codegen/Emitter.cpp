@@ -3,42 +3,11 @@
 #include "codegen/Emitter.h"
 
 #include "codegen/X86Encoder.h"
-#include "interp/Interpreter.h"
 #include "support/Error.h"
 
 #include <map>
 
 using namespace sxe;
-
-uint64_t HelperTable::address(MHelper H) const {
-  switch (H) {
-  case MHelper::None:
-    break;
-  case MHelper::NewArray:
-    return NewArray;
-  case MHelper::ArrayLen:
-    return ArrayLen;
-  case MHelper::ArrayLoad:
-    return ArrayLoad;
-  case MHelper::ArrayStore:
-    return ArrayStore;
-  case MHelper::Div32:
-    return Div32;
-  case MHelper::Rem32:
-    return Rem32;
-  case MHelper::Div64:
-    return Div64;
-  case MHelper::Rem64:
-    return Rem64;
-  case MHelper::D2I:
-    return D2I;
-  case MHelper::FCmp:
-    return FCmp;
-  case MHelper::Trap:
-    return Trap;
-  }
-  sxeUnreachable("no helper address for MHelper::None");
-}
 
 namespace {
 
@@ -66,10 +35,17 @@ private:
   void branchTo(size_t Fixup, const MBlock *Target) {
     BlockFixups.push_back({Fixup, Target->id()});
   }
-  /// Jcc into the out-of-line stub that raises \p Kind.
-  void trapIf(X86Cond Cond, TrapKind Kind) {
-    TrapFixups[Kind].push_back(A.jccRel32(Cond));
+  /// Jcc into the out-of-line stub that raises \p Site.
+  void trapIf(X86Cond Cond, TrapSite Site) {
+    TrapFixups[Site].push_back(A.jccRel32(Cond));
   }
+  /// Points a forward jump emitted earlier in the same pattern here.
+  void bindHere(size_t Fixup) { A.patchRel32(Fixup, A.size()); }
+
+  void emitArrayCheck(const MInst &I);
+  void emitDivRem(const MInst &I);
+  void emitFCmp(const MInst &I);
+  void emitD2I(const MInst &I);
 
   const MFunction &MF;
   const HelperTable &Helpers;
@@ -77,7 +53,7 @@ private:
   int32_t FrameBytes = 0;
   std::vector<size_t> BlockOffsets;
   std::vector<std::pair<size_t, uint32_t>> BlockFixups;
-  std::map<TrapKind, std::vector<size_t>> TrapFixups;
+  std::map<TrapSite, std::vector<size_t>> TrapFixups;
 };
 
 void FunctionEmitter::emitPrologue() {
@@ -103,7 +79,7 @@ void FunctionEmitter::emitPrologue() {
   A.incM32(R15, NativeCtxLayout::DepthOffset);
   A.movRM32(RAX, R15, NativeCtxLayout::MaxDepthOffset);
   A.cmpM32R(R15, NativeCtxLayout::DepthOffset, RAX);
-  trapIf(X86Cond::G, TrapKind::StackOverflow);
+  trapIf(X86Cond::G, TrapSite::StackOverflow);
 }
 
 void FunctionEmitter::emitEpilogue() {
@@ -141,6 +117,126 @@ void FunctionEmitter::emitCallResult(uint32_t Def) {
     A.movMR64(RBP, slotDisp(slotOfRef(Def)), RAX);
   else if (Def != RAX)
     A.movRR64(Def, RAX);
+}
+
+/// Null, then bounds, then (optionally) wild address — the interpreter's
+/// trap order. The bounds check compares the low half of the index,
+/// unsigned, with the length; the wild check then requires the full
+/// register to equal the sign extension of that low half, because it is
+/// the full register that addresses the element.
+void FunctionEmitter::emitArrayCheck(const MInst &I) {
+  uint32_t Array = I.Uses[0], Index = I.Uses[1];
+  A.testRR(true, Array, Array);
+  trapIf(X86Cond::E, TrapSite::NullArrayAccess);
+  A.cmpRM32(Index, Array, ArrayBlockLayout::LengthOffset);
+  trapIf(X86Cond::AE, TrapSite::Bounds);
+  if (I.Imm != 0) {
+    A.movsxd(RCX, Index);
+    A.cmpRR(true, RCX, Index);
+    trapIf(X86Cond::NE, TrapSite::WildIndex);
+  }
+}
+
+/// idiv faults on a zero divisor and on MIN / -1; Java traps on the first
+/// and wraps the second. x / -1 is -x and x % -1 is 0 for every x, so the
+/// -1 divisor takes a branch that never divides.
+void FunctionEmitter::emitDivRem(const MInst &I) {
+  bool W64 = I.W == Width::W64;
+  bool IsRem = I.Op == MOp::IRem;
+  // The sources may sit in RAX/RDX (spill scratches), which the division
+  // overwrites: move the divisor out first.
+  A.movRR64(RCX, I.Uses[1]);
+  if (I.Uses[0] != RAX)
+    A.movRR64(RAX, I.Uses[0]);
+  A.testRR(W64, RCX, RCX);
+  trapIf(X86Cond::E, TrapSite::DivByZero);
+  A.cmpRImm8(W64, RCX, -1);
+  size_t ToDivide = A.jccRel32(X86Cond::NE);
+  if (IsRem)
+    A.xorRR(false, RAX, RAX);
+  else
+    A.negR(W64, RAX);
+  size_t ToDone = A.jmpRel32();
+  bindHere(ToDivide);
+  if (W64)
+    A.cqo();
+  else
+    A.cdq();
+  A.idivR(W64, RCX);
+  if (IsRem)
+    A.movRR64(RAX, RDX);
+  bindHere(ToDone);
+  // 32-bit forms already left RAX zero-extended.
+  if (I.Def != RAX)
+    A.movRR64(I.Def, RAX);
+}
+
+/// ucomisd sets ZF/PF/CF = 1/1/1 for unordered operands, so "above" and
+/// "above or equal" are false on NaN by themselves; < and <= swap the
+/// operands to become > and >=. Equality must also require PF clear, and
+/// inequality also holds when PF is set.
+void FunctionEmitter::emitFCmp(const MInst &I) {
+  A.movqXmmR(0, I.Uses[0]);
+  A.movqXmmR(1, I.Uses[1]);
+  // The sources are in xmm0/xmm1 now, so RAX is free as a second byte
+  // register (it is at most a scratch of this instruction).
+  switch (I.Pred) {
+  case CmpPred::EQ:
+    A.ucomisd(0, 1);
+    A.setcc(X86Cond::E, RCX);
+    A.setcc(X86Cond::NP, RAX);
+    A.andRR8(RCX, RAX);
+    break;
+  case CmpPred::NE:
+    A.ucomisd(0, 1);
+    A.setcc(X86Cond::NE, RCX);
+    A.setcc(X86Cond::P, RAX);
+    A.orRR8(RCX, RAX);
+    break;
+  case CmpPred::SGT:
+  case CmpPred::UGT:
+    A.ucomisd(0, 1);
+    A.setcc(X86Cond::A, RCX);
+    break;
+  case CmpPred::SGE:
+  case CmpPred::UGE:
+    A.ucomisd(0, 1);
+    A.setcc(X86Cond::AE, RCX);
+    break;
+  case CmpPred::SLT:
+  case CmpPred::ULT:
+    A.ucomisd(1, 0);
+    A.setcc(X86Cond::A, RCX);
+    break;
+  case CmpPred::SLE:
+  case CmpPred::ULE:
+    A.ucomisd(1, 0);
+    A.setcc(X86Cond::AE, RCX);
+    break;
+  }
+  A.movzxCl32(I.Def);
+}
+
+/// cvttsd2si answers 0x80000000 for NaN and for anything out of int32
+/// range; Java wants 0 for NaN and saturation at either end. Only that
+/// answer takes the fix-up path.
+void FunctionEmitter::emitD2I(const MInst &I) {
+  A.movqXmmR(0, I.Uses[0]);
+  A.cvttsd2si32(RCX, 0);
+  A.cmpRImm32(false, RCX, INT32_MIN);
+  size_t InRange = A.jccRel32(X86Cond::NE);
+  A.xorRR(false, RCX, RCX);
+  A.ucomisd(0, 0);
+  size_t IsNaN = A.jccRel32(X86Cond::P);
+  A.movImm32(RCX, INT32_MAX);
+  A.xorpd(1, 1);
+  A.ucomisd(0, 1);
+  size_t Positive = A.jccRel32(X86Cond::A);
+  A.movImm32(RCX, static_cast<uint32_t>(INT32_MIN));
+  bindHere(InRange);
+  bindHere(IsNaN);
+  bindHere(Positive);
+  A.movRR32(I.Def, RCX);
 }
 
 void FunctionEmitter::emitInst(const MInst &I, const MBlock &B) {
@@ -213,8 +309,30 @@ void FunctionEmitter::emitInst(const MInst &I, const MBlock &B) {
 
   case MOp::CmpSet:
     A.cmpRR(W64, I.Uses[0], I.Uses[1]);
-    A.setccCl(condForPred(I.Pred));
+    A.setcc(condForPred(I.Pred), RCX);
     A.movzxCl32(I.Def);
+    return;
+
+  case MOp::IDiv:
+  case MOp::IRem:
+    emitDivRem(I);
+    return;
+
+  case MOp::ArrayLen:
+    A.testRR(true, I.Uses[0], I.Uses[0]);
+    trapIf(X86Cond::E, TrapSite::NullArrayLen);
+    A.movRM32(I.Def, I.Uses[0], ArrayBlockLayout::LengthOffset);
+    return;
+  case MOp::ArrayCheck:
+    emitArrayCheck(I);
+    return;
+  case MOp::LoadElem:
+    A.loadIndexed(elementBytes(I.Elem), I.Def, I.Uses[0], I.Uses[1],
+                  ArrayBlockLayout::ElementsOffset);
+    return;
+  case MOp::StoreElem:
+    A.storeIndexed(elementBytes(I.Elem), I.Uses[0], I.Uses[1],
+                   ArrayBlockLayout::ElementsOffset, I.Uses[2]);
     return;
 
   case MOp::FAdd:
@@ -237,12 +355,18 @@ void FunctionEmitter::emitInst(const MInst &I, const MBlock &B) {
     A.movqXmmR(0, I.Uses[0]);
     A.movImm64(RCX, 0x8000000000000000ULL);
     A.movqXmmR(1, RCX);
-    A.xorpd01();
+    A.xorpd(0, 1);
     A.movqRXmm(I.Def, 0);
     return;
   case MOp::CvtSi2Sd:
     A.cvtsi2sd0(I.Uses[0]);
     A.movqRXmm(I.Def, 0);
+    return;
+  case MOp::FCmpSet:
+    emitFCmp(I);
+    return;
+  case MOp::CvtD2I:
+    emitD2I(I);
     return;
 
   case MOp::LoadParam:
@@ -261,34 +385,25 @@ void FunctionEmitter::emitInst(const MInst &I, const MBlock &B) {
     return;
   }
   case MOp::CallHelper: {
-    emitStagedArgs(I.Uses);
-    static const uint32_t AbiRegs[] = {RSI, RDX, RCX, R8};
-    unsigned NumArgs = static_cast<unsigned>(I.Uses.size());
-    if (NumArgs > 4)
-      reportFatalError("codegen: helper call with more than four arguments");
-    A.movRR64(RDI, R15);
-    for (unsigned Index = 0; Index < NumArgs; ++Index)
-      A.movRM64(AbiRegs[Index], RSP, 8 * static_cast<int32_t>(Index));
-    // NewArray/ArrayLoad/ArrayStore/FCmp/Trap carry a payload (element
-    // type, predicate, or trap kind) as the trailing argument.
-    bool HasPayload = I.Helper == MHelper::NewArray ||
-                      I.Helper == MHelper::ArrayLoad ||
-                      I.Helper == MHelper::ArrayStore ||
-                      I.Helper == MHelper::FCmp || I.Helper == MHelper::Trap;
-    if (HasPayload)
-      A.movImm64(AbiRegs[NumArgs], static_cast<uint64_t>(I.Imm));
-    A.movImm64(RAX, Helpers.address(I.Helper));
-    A.callR(RAX);
     if (I.Helper == MHelper::Trap) {
-      A.ud2(); // rt_trap longjmps and never returns.
+      // The explicit trap shares the out-of-line path of every other trap.
+      TrapFixups[static_cast<TrapSite>(I.Imm)].push_back(A.jmpRel32());
       return;
     }
+    // rt_new_array(ctx, len).
+    if (isSlotRef(I.Uses[0]))
+      A.movRM64(RSI, RBP, slotDisp(slotOfRef(I.Uses[0])));
+    else
+      A.movRR64(RSI, I.Uses[0]);
+    A.movRR64(RDI, R15);
+    A.movImm64(RAX, Helpers.NewArray);
+    A.callR(RAX);
     emitCallResult(I.Def);
     return;
   }
 
   case MOp::TestJnz: {
-    A.testRR64(I.Uses[0], I.Uses[0]);
+    A.testRR(true, I.Uses[0], I.Uses[0]);
     branchTo(A.jccRel32(X86Cond::NE), I.Succs[0]);
     if (I.Succs[1]->id() != B.id() + 1)
       branchTo(A.jmpRel32(), I.Succs[1]);
@@ -326,20 +441,23 @@ std::vector<uint8_t> FunctionEmitter::emit() {
     if (BP->FuelCost > 0) {
       A.subM64Imm32(R15, NativeCtxLayout::FuelOffset,
                     static_cast<int32_t>(BP->FuelCost));
-      trapIf(X86Cond::S, TrapKind::StepLimit);
+      trapIf(X86Cond::S, TrapSite::StepLimit);
     }
     for (const MInst &I : BP->Insts)
       emitInst(I, *BP);
   }
 
-  // Out-of-line trap stubs: raise the kind and never come back (rt_trap
-  // longjmps to the trampoline's setjmp).
+  // Out-of-line trap stubs, one per site this function can trap at: call
+  // rt_trap(ctx, site, function index), which never comes back (it
+  // longjmps to NativeModule::run). Every jump here leaves RSP as the
+  // prologue set it, so the call is 16-byte aligned.
   for (auto &Entry : TrapFixups) {
     size_t StubOffset = A.size();
     for (size_t Fixup : Entry.second)
       A.patchRel32(Fixup, StubOffset);
     A.movRR64(RDI, R15);
-    A.movImm64(RSI, static_cast<uint64_t>(Entry.first));
+    A.movImm32(RSI, static_cast<uint32_t>(Entry.first));
+    A.movImm32(RDX, MF.index());
     A.movImm64(RAX, Helpers.Trap);
     A.callR(RAX);
     A.ud2();

@@ -15,19 +15,21 @@
 /// which is SysV-compatible, so the host C++ code calls entry points
 /// directly. The prologue pins the context in R15, saves the callee-saved
 /// set, checks the call-depth budget; every block head pays its fuel cost
-/// (the interpreter-equivalent step budget); runtime traps route through
-/// per-function out-of-line stubs into rt_trap, which longjmps back to
-/// NativeModule::run. Internal calls go through the per-run function table
-/// in the context (no relocations — the code is position-independent),
-/// helper calls through absolute addresses bound at emission.
+/// (the interpreter-equivalent step budget). Array access, division,
+/// floating-point compares and d2i are inline; every trap, the explicit
+/// one included, jumps to a per-function out-of-line stub for its
+/// TrapSite, which calls rt_trap(ctx, site, function index); rt_trap
+/// longjmps back to NativeModule::run. Internal calls go through the
+/// per-run function table in the context (no relocations — the code is
+/// position-independent), helper calls through absolute addresses bound at
+/// emission.
 ///
 /// Frame layout (rbp-relative):
 ///
 ///   [rbp-8..-40]   saved rbx, r12, r13, r14, r15
 ///   [rbp-48]       incoming args pointer
 ///   [rbp-56-8i]    spill slot i
-///   [rsp+8j]       outgoing argument j (also the staging area helpers'
-///                  arguments pass through)
+///   [rsp+8j]       outgoing argument j of a module-function call
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,18 +46,16 @@ namespace sxe {
 /// Absolute addresses of the runtime helpers, bound by NativeEngine.
 struct HelperTable {
   uint64_t NewArray = 0;
-  uint64_t ArrayLen = 0;
-  uint64_t ArrayLoad = 0;
-  uint64_t ArrayStore = 0;
-  uint64_t Div32 = 0;
-  uint64_t Rem32 = 0;
-  uint64_t Div64 = 0;
-  uint64_t Rem64 = 0;
-  uint64_t D2I = 0;
-  uint64_t FCmp = 0;
   uint64_t Trap = 0;
+};
 
-  uint64_t address(MHelper H) const;
+/// The array block layout the inline access sequences assume; NativeEngine
+/// allocates blocks to match. An arrayref points at the length, a 64-bit
+/// word holding a value below 2^31, and element i sits at
+/// ElementsOffset + i * elementBytes(type).
+struct ArrayBlockLayout {
+  static constexpr int32_t LengthOffset = 0;
+  static constexpr int32_t ElementsOffset = 8;
 };
 
 /// Byte offsets the emitted code assumes inside NativeCtx; NativeEngine

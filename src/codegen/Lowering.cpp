@@ -2,7 +2,6 @@
 
 #include "codegen/Lowering.h"
 
-#include "interp/Interpreter.h"
 #include "support/Error.h"
 
 #include <cstring>
@@ -18,8 +17,8 @@ public:
   FunctionLowering(MFunction &MF, const Function &F,
                    const std::unordered_map<const Function *, uint32_t>
                        &FunctionIndex,
-                   LoweringStats &Stats)
-      : MF(MF), F(F), FunctionIndex(FunctionIndex), Stats(Stats) {}
+                   LoweringStats &Stats, const LoweringOptions &Opts)
+      : MF(MF), F(F), FunctionIndex(FunctionIndex), Stats(Stats), Opts(Opts) {}
 
   void lower();
 
@@ -43,6 +42,8 @@ private:
   void lowerConversion(MOp Op, const Instruction &I);
   void lowerHelperCall(MHelper Helper, const Instruction &I, unsigned NumArgs,
                        int64_t Payload);
+  void lowerThreeAddress(MOp Op, const Instruction &I);
+  void lowerArrayAccess(const Instruction &I);
   void lowerInst(const Instruction &I);
   void insertZeroInits();
 
@@ -50,6 +51,7 @@ private:
   const Function &F;
   const std::unordered_map<const Function *, uint32_t> &FunctionIndex;
   LoweringStats &Stats;
+  const LoweringOptions &Opts;
   std::unordered_map<const BasicBlock *, MBlock *> BlockMap;
   MBlock *Cur = nullptr;
 };
@@ -119,8 +121,49 @@ void FunctionLowering::lowerHelperCall(MHelper Helper, const Instruction &I,
     M.Def = vreg(I.dest());
   for (unsigned Index = 0; Index < NumArgs; ++Index)
     M.Uses.push_back(vreg(I.operand(Index)));
-  if (NumArgs > MF.MaxCallArgs)
-    MF.MaxCallArgs = NumArgs;
+}
+
+/// `d = op(a, b)` for operations whose emitted sequence reads both sources
+/// before it writes the destination, so no two-address staging is needed.
+void FunctionLowering::lowerThreeAddress(MOp Op, const Instruction &I) {
+  MInst &M = emit(Op);
+  M.W = I.width();
+  M.Pred = I.pred();
+  M.Def = vreg(I.dest());
+  M.Uses = {vreg(I.operand(0)), vreg(I.operand(1))};
+}
+
+/// An element access is the check (null, bounds, optionally wild address)
+/// followed by a plain load or store. With the wild check the index
+/// register addresses the element as it is: the check proved it equals its
+/// own sign extension. Without it the address uses a zero-extended copy of
+/// the checked low half.
+void FunctionLowering::lowerArrayAccess(const Instruction &I) {
+  uint32_t Array = vreg(I.operand(0));
+  uint32_t Index = vreg(I.operand(1));
+
+  MInst &Check = emit(MOp::ArrayCheck);
+  Check.Uses = {Array, Index};
+  Check.Imm = Opts.CheckWildAddresses ? 1 : 0;
+
+  if (!Opts.CheckWildAddresses) {
+    uint32_t Low = MF.newVirtReg();
+    MInst &M = emit(MOp::Mov32);
+    M.Def = Low;
+    M.Uses = {Index};
+    Index = Low;
+  }
+
+  if (I.opcode() == Opcode::ArrayLoad) {
+    MInst &M = emit(MOp::LoadElem);
+    M.Elem = I.type();
+    M.Def = vreg(I.dest());
+    M.Uses = {Array, Index};
+    return;
+  }
+  MInst &M = emit(MOp::StoreElem);
+  M.Elem = I.type();
+  M.Uses = {Array, Index, vreg(I.operand(2))};
 }
 
 void FunctionLowering::lowerInst(const Instruction &I) {
@@ -180,10 +223,10 @@ void FunctionLowering::lowerInst(const Instruction &I) {
     return;
 
   case Opcode::Div:
-    lowerHelperCall(I.isW32() ? MHelper::Div32 : MHelper::Div64, I, 2, 0);
+    lowerThreeAddress(MOp::IDiv, I);
     return;
   case Opcode::Rem:
-    lowerHelperCall(I.isW32() ? MHelper::Rem32 : MHelper::Rem64, I, 2, 0);
+    lowerThreeAddress(MOp::IRem, I);
     return;
 
   case Opcode::Sext8:
@@ -231,9 +274,12 @@ void FunctionLowering::lowerInst(const Instruction &I) {
     M.Uses = {vreg(I.operand(0))};
     return;
   }
-  case Opcode::D2I:
-    lowerHelperCall(MHelper::D2I, I, 1, 0);
+  case Opcode::D2I: {
+    MInst &M = emit(MOp::CvtD2I);
+    M.Def = vreg(I.dest());
+    M.Uses = {vreg(I.operand(0))};
     return;
+  }
 
   case Opcode::Cmp: {
     MInst &M = emit(MOp::CmpSet);
@@ -244,7 +290,7 @@ void FunctionLowering::lowerInst(const Instruction &I) {
     return;
   }
   case Opcode::FCmp:
-    lowerHelperCall(MHelper::FCmp, I, 2, static_cast<int64_t>(I.pred()));
+    lowerThreeAddress(MOp::FCmpSet, I);
     return;
 
   case Opcode::Br: {
@@ -278,20 +324,21 @@ void FunctionLowering::lowerInst(const Instruction &I) {
   }
   case Opcode::Trap:
     lowerHelperCall(MHelper::Trap, I, 0,
-                    static_cast<int64_t>(TrapKind::ExplicitTrap));
+                    static_cast<int64_t>(TrapSite::Explicit));
     return;
 
   case Opcode::NewArray:
-    lowerHelperCall(MHelper::NewArray, I, 1, static_cast<int64_t>(I.type()));
+    lowerHelperCall(MHelper::NewArray, I, 1, 0);
     return;
-  case Opcode::ArrayLen:
-    lowerHelperCall(MHelper::ArrayLen, I, 1, 0);
+  case Opcode::ArrayLen: {
+    MInst &M = emit(MOp::ArrayLen);
+    M.Def = vreg(I.dest());
+    M.Uses = {vreg(I.operand(0))};
     return;
+  }
   case Opcode::ArrayLoad:
-    lowerHelperCall(MHelper::ArrayLoad, I, 2, static_cast<int64_t>(I.type()));
-    return;
   case Opcode::ArrayStore:
-    lowerHelperCall(MHelper::ArrayStore, I, 3, static_cast<int64_t>(I.type()));
+    lowerArrayAccess(I);
     return;
   }
   sxeUnreachable("invalid Opcode enumerator in lowering");
@@ -394,7 +441,8 @@ void FunctionLowering::lower() {
 } // namespace
 
 std::unique_ptr<MModule> sxe::lowerModule(const Module &M,
-                                          LoweringStats *Stats) {
+                                          LoweringStats *Stats,
+                                          const LoweringOptions &Opts) {
   LoweringStats Local;
   LoweringStats &S = Stats ? *Stats : Local;
 
@@ -407,7 +455,7 @@ std::unique_ptr<MModule> sxe::lowerModule(const Module &M,
 
   for (const auto &F : M.functions()) {
     auto MF = std::make_unique<MFunction>(F.get(), FunctionIndex.at(F.get()));
-    FunctionLowering(*MF, *F, FunctionIndex, S).lower();
+    FunctionLowering(*MF, *F, FunctionIndex, S, Opts).lower();
     MM->Functions.push_back(std::move(MF));
   }
   return MM;

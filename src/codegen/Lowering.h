@@ -17,10 +17,13 @@
 ///  - W32 arithmetic selects the 32-bit instruction forms, whose implicit
 ///    zero extension reproduces the interpreter's x86-64 Machine-mode
 ///    masking rule exactly;
-///  - division, floating-point compares, D2I, traps, and all array
-///    operations lower to runtime-helper call pseudos whose C
-///    implementations (codegen/NativeEngine.cpp) mirror interpreter
-///    semantics including trap behaviour;
+///  - division, floating-point compares, D2I and array access lower to
+///    inline machine operations whose emitted sequences mirror interpreter
+///    semantics, trap behaviour included; an array access is a check
+///    (null, bounds, and optionally wild address) followed by a plain
+///    element load or store addressed by the index register itself;
+///  - only allocation (NewArray) and the explicit trap remain runtime-helper
+///    call pseudos;
 ///  - any vreg live into the entry block that is not a parameter gets an
 ///    explicit zero initialization, matching the interpreter's JVM-like
 ///    zeroed locals.
@@ -43,16 +46,27 @@ struct LoweringStats {
   uint64_t Functions = 0;
   uint64_t Blocks = 0;
   uint64_t MachineInsts = 0;
-  uint64_t HelperCalls = 0;  ///< Div/array/FP-compare/trap call pseudos.
+  uint64_t HelperCalls = 0;  ///< NewArray/trap call pseudos.
   uint64_t Conversions = 0;  ///< movsx/movzx/movl emitted.
   uint64_t ZeroInits = 0;    ///< Entry-block zeroing of live-in locals.
+};
+
+/// Code-shape choices that change what the lowered code checks.
+struct LoweringOptions {
+  /// Check before every element access that the full 64-bit index equals
+  /// the sign extension of its bounds-checked low half, and trap as a wild
+  /// address when it does not. This is how native runs catch an unsound
+  /// extension elimination. Without it an access indexes with the
+  /// zero-extended low half, so it never leaves the array either way.
+  bool CheckWildAddresses = true;
 };
 
 /// Lowers every function of \p M. The module must verify; the lowering
 /// asserts structural invariants it relies on (terminated blocks, operand
 /// counts).
 std::unique_ptr<MModule> lowerModule(const Module &M,
-                                     LoweringStats *Stats = nullptr);
+                                     LoweringStats *Stats = nullptr,
+                                     const LoweringOptions &Opts = {});
 
 } // namespace sxe
 

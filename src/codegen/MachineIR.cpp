@@ -21,28 +21,29 @@ const char *sxe::helperName(MHelper H) {
     return "none";
   case MHelper::NewArray:
     return "new_array";
-  case MHelper::ArrayLen:
-    return "array_len";
-  case MHelper::ArrayLoad:
-    return "array_load";
-  case MHelper::ArrayStore:
-    return "array_store";
-  case MHelper::Div32:
-    return "div32";
-  case MHelper::Rem32:
-    return "rem32";
-  case MHelper::Div64:
-    return "div64";
-  case MHelper::Rem64:
-    return "rem64";
-  case MHelper::D2I:
-    return "d2i";
-  case MHelper::FCmp:
-    return "fcmp";
   case MHelper::Trap:
     return "trap";
   }
   sxeUnreachable("invalid MHelper enumerator");
+}
+
+unsigned sxe::elementBytes(Type Ty) {
+  switch (Ty) {
+  case Type::I8:
+    return 1;
+  case Type::I16:
+  case Type::U16:
+    return 2;
+  case Type::I32:
+    return 4;
+  case Type::I64:
+  case Type::F64:
+    return 8;
+  case Type::Void:
+  case Type::ArrayRef:
+    break;
+  }
+  sxeUnreachable("not an array element type");
 }
 
 const char *sxe::mopName(MOp Op) {
@@ -87,6 +88,18 @@ const char *sxe::mopName(MOp Op) {
     return "movzx16";
   case MOp::CmpSet:
     return "cmpset";
+  case MOp::IDiv:
+    return "idiv";
+  case MOp::IRem:
+    return "irem";
+  case MOp::ArrayLen:
+    return "arraylen";
+  case MOp::ArrayCheck:
+    return "arraychk";
+  case MOp::LoadElem:
+    return "ldelem";
+  case MOp::StoreElem:
+    return "stelem";
   case MOp::FAdd:
     return "fadd";
   case MOp::FSub:
@@ -99,6 +112,10 @@ const char *sxe::mopName(MOp Op) {
     return "fneg";
   case MOp::CvtSi2Sd:
     return "cvtsi2sd";
+  case MOp::FCmpSet:
+    return "fcmpset";
+  case MOp::CvtD2I:
+    return "cvtd2i";
   case MOp::LoadParam:
     return "loadparam";
   case MOp::CallFn:
@@ -134,10 +151,15 @@ std::string regText(uint32_t R) {
 void printInst(std::ostream &OS, const MInst &I) {
   OS << "    ";
   OS << mopName(I.Op);
-  if (I.Op == MOp::CmpSet || (I.Op >= MOp::Add && I.Op <= MOp::Not))
+  if (I.Op == MOp::CmpSet || I.Op == MOp::IDiv || I.Op == MOp::IRem ||
+      (I.Op >= MOp::Add && I.Op <= MOp::Not))
     OS << (I.W == Width::W32 ? ".w32" : ".w64");
-  if (I.Op == MOp::CmpSet)
+  if (I.Op == MOp::CmpSet || I.Op == MOp::FCmpSet)
     OS << "." << cmpPredName(I.Pred);
+  if (I.Op == MOp::LoadElem || I.Op == MOp::StoreElem)
+    OS << "." << typeName(I.Elem);
+  if (I.Op == MOp::ArrayCheck && I.Imm != 0)
+    OS << ".wild";
   if (I.Op == MOp::CallHelper)
     OS << " " << helperName(I.Helper);
   if (I.Def != MNoReg)
@@ -146,7 +168,7 @@ void printInst(std::ostream &OS, const MInst &I) {
     OS << " " << regText(U);
   if (I.Op == MOp::MovImm || I.Op == MOp::LoadParam ||
       I.Op == MOp::SpillStore || I.Op == MOp::SpillLoad ||
-      (I.Op == MOp::CallHelper && I.Helper != MHelper::FCmp))
+      (I.Op == MOp::CallHelper && I.Helper == MHelper::Trap))
     OS << " #" << I.Imm;
   if (I.Op == MOp::CallFn)
     OS << " @fn" << I.Callee;

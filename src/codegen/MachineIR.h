@@ -27,8 +27,7 @@
 ///
 /// The shape follows dreavm's register_allocation_pass.c: linear scan over
 /// live intervals with spill handling runs on this IR, then the emitter
-/// turns it into executable bytes (codegen/Emitter.h) or a weighted cycle
-/// estimate (codegen/CycleModel.h) on hosts that cannot execute x86-64.
+/// turns it into executable bytes (codegen/Emitter.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -93,21 +92,33 @@ inline uint32_t slotRef(uint32_t Slot) { return SlotBase + Slot; }
 const char *physRegName(uint32_t R);
 
 /// Runtime helpers compiled code calls into (codegen/NativeEngine.cpp
-/// binds them to addresses; codegen/CycleModel.cpp charges them cycles).
+/// binds them to addresses). Everything else, array access included, is
+/// inline code; only allocation and trapping leave it.
 enum class MHelper : uint8_t {
   None,
-  NewArray,   ///< dest = rt_new_array(ctx, len, elemty)
-  ArrayLen,   ///< dest = rt_array_len(ctx, handle)
-  ArrayLoad,  ///< dest = rt_array_load(ctx, handle, index, elemty)
-  ArrayStore, ///< rt_array_store(ctx, handle, index, value, elemty)
-  Div32,      ///< dest = rt_div32(ctx, a, b); Java semantics, may trap
-  Rem32,
-  Div64,
-  Rem64,
-  D2I,  ///< dest = rt_d2i(ctx, bits); saturating, zero-extended result
-  FCmp, ///< dest = rt_fcmp(ctx, abits, bbits, pred)
-  Trap, ///< rt_trap(ctx, kind); never returns
+  NewArray, ///< dest = rt_new_array(ctx, len)
+  Trap,     ///< rt_trap(ctx, site, fn); never returns
 };
+
+/// A place in compiled code that can trap. Each site fixes the trap kind
+/// and the message the interpreter reports for it, so a native trap reads
+/// exactly like the interpreter's. The emitter routes every site through
+/// one out-of-line stub per function, which passes the site and the
+/// function index to rt_trap.
+enum class TrapSite : uint8_t {
+  NullArrayLen,    ///< arraylen of null
+  NullArrayAccess, ///< array access through null
+  Bounds,          ///< index out of bounds
+  WildIndex,       ///< address index disagrees with the checked index
+  DivByZero,
+  StackOverflow,
+  StepLimit,
+  Explicit, ///< the IR trap instruction
+};
+
+/// Bytes one element of type \p Ty occupies in an array block (1, 2, 4
+/// or 8); also the scale of its address index.
+unsigned elementBytes(Type Ty);
 
 /// Printable name of \p H ("new_array", ...).
 const char *helperName(MHelper H);
@@ -144,6 +155,22 @@ enum class MOp : uint8_t {
 
   CmpSet, ///< dst = (src0 <Pred> src1) ? 1 : 0; Width picks cmpl/cmpq
 
+  // Java division: traps on a zero divisor, x / -1 wraps (idiv would
+  // fault on INT_MIN / -1). The W32 forms read only the low halves and
+  // zero-extend the result, like every 32-bit register write.
+  IDiv, ///< dst = src0 / src1
+  IRem, ///< dst = src0 % src1
+
+  // Arrays. An arrayref is a pointer to a [len | elements] block
+  // (ArrayBlockLayout in codegen/Emitter.h), or 0 for null.
+  ArrayLen,   ///< dst = length of array src0; traps on null
+  ArrayCheck, ///< traps unless src0 is non-null and the low half of src1
+              ///< is in bounds; Imm != 0 adds the wild-address check that
+              ///< the full 64-bit src1 equals its sign-extended low half
+  LoadElem,   ///< dst = element src1 of array src0 (Elem-typed: bytes and
+              ///< words zero-extend, dwords zero-extend implicitly)
+  StoreElem,  ///< element src1 of array src0 = low bytes of src2
+
   // Floating point through the xmm0/xmm1 scratch pair (no XMM allocation
   // in the baseline allocator; doubles travel in GPRs as bit patterns).
   FAdd, ///< dst = fp(src0) + fp(src1)
@@ -152,13 +179,15 @@ enum class MOp : uint8_t {
   FDiv,
   FNeg,     ///< dst = -fp(src0)
   CvtSi2Sd, ///< dst = double(int64(src0))
+  FCmpSet,  ///< dst = fp(src0) <Pred> fp(src1); unordered: only NE holds
+  CvtD2I,   ///< dst = zext32(Java d2i(fp(src0))): NaN is 0, saturating
 
   LoadParam, ///< dst = incoming argument #Imm
 
   // Calls.
   CallFn,     ///< [dst =] module function #Callee(src0, src1, ...)
-  CallHelper, ///< [dst =] Helper(ctx, src0, ...); Imm carries the payload
-              ///< (element type, trap kind, or compare predicate)
+  CallHelper, ///< [dst =] Helper(ctx, src0, ...); for Trap, Imm is the
+              ///< TrapSite
 
   // Control flow (must terminate their block).
   TestJnz, ///< if (src0 != 0) goto Succs[0] else Succs[1]
@@ -179,14 +208,15 @@ class MBlock;
 struct MInst {
   MOp Op;
   Width W = Width::W64;      ///< 32/64-bit form of ALU ops and CmpSet.
-  CmpPred Pred = CmpPred::EQ; ///< CmpSet predicate.
+  CmpPred Pred = CmpPred::EQ; ///< CmpSet/FCmpSet predicate.
+  Type Elem = Type::I64;      ///< LoadElem/StoreElem element type.
   MHelper Helper = MHelper::None;
   uint32_t Def = MNoReg;
+  uint32_t Callee = 0;  ///< CallFn: module function index.
   /// Use operands. For two-address ALU ops Uses[0] is the destination
   /// register read-modify-written (and equals Def).
   std::vector<uint32_t> Uses;
-  int64_t Imm = 0;      ///< Immediate / slot index / helper payload.
-  uint32_t Callee = 0;  ///< CallFn: module function index.
+  int64_t Imm = 0; ///< Immediate / slot index / TrapSite / wild-check flag.
   MBlock *Succs[2] = {nullptr, nullptr};
   /// Linear position assigned by LiveIntervals::number(); even numbers,
   /// so spill code can conceptually sit between positions.
@@ -258,8 +288,8 @@ public:
   /// Spill slots assigned by the register allocator.
   uint32_t NumSpillSlots = 0;
 
-  /// Largest argument count of any call in the body (sizes the outgoing
-  /// argument area).
+  /// Largest argument count of any module-function call in the body (sizes
+  /// the outgoing argument area).
   uint32_t MaxCallArgs = 0;
 
   MBlock *createBlock(const std::string &Name) {

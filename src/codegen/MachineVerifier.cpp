@@ -10,6 +10,61 @@ bool isReservedReg(uint32_t Reg) {
   return Reg == RSP || Reg == RBP || Reg == R15;
 }
 
+/// Number of use operands \p Op reads, or -1 when it varies (calls and
+/// returns).
+int expectedUses(MOp Op) {
+  switch (Op) {
+  case MOp::MovImm:
+  case MOp::LoadParam:
+  case MOp::JmpB:
+  case MOp::SpillLoad:
+    return 0;
+  case MOp::MovRR:
+  case MOp::Mov32:
+  case MOp::Neg:
+  case MOp::Not:
+  case MOp::Movsx8:
+  case MOp::Movsx16:
+  case MOp::Movsx32:
+  case MOp::Movzx8:
+  case MOp::Movzx16:
+  case MOp::ArrayLen:
+  case MOp::FNeg:
+  case MOp::CvtSi2Sd:
+  case MOp::CvtD2I:
+  case MOp::TestJnz:
+  case MOp::SpillStore:
+    return 1;
+  case MOp::Add:
+  case MOp::Sub:
+  case MOp::IMul:
+  case MOp::And:
+  case MOp::Or:
+  case MOp::Xor:
+  case MOp::Shl:
+  case MOp::Shr:
+  case MOp::Sar:
+  case MOp::CmpSet:
+  case MOp::IDiv:
+  case MOp::IRem:
+  case MOp::ArrayCheck:
+  case MOp::LoadElem:
+  case MOp::FAdd:
+  case MOp::FSub:
+  case MOp::FMul:
+  case MOp::FDiv:
+  case MOp::FCmpSet:
+    return 2;
+  case MOp::StoreElem:
+    return 3;
+  case MOp::CallFn:
+  case MOp::CallHelper:
+  case MOp::RetR:
+    return -1;
+  }
+  return -1;
+}
+
 std::string describe(const MFunction &MF, const MBlock &B, const MInst &I,
                      const std::string &Problem) {
   return MF.name() + ":" + B.name() + ": " + mopName(I.Op) + ": " + Problem;
@@ -43,6 +98,10 @@ std::string checkOperand(const MFunction &MF, const MBlock &B, const MInst &I,
     return describe(MF, B, I,
                     "reserved register " + std::string(physRegName(Reg)) +
                         " used as " + Role);
+  // RCX is the third spill scratch, so it may carry a reload into an
+  // element store; every other pattern may clobber it.
+  if (Reg == RCX && I.Op != MOp::StoreElem && I.Op != MOp::SpillLoad)
+    return describe(MF, B, I, "rcx used as " + Role + " outside a store");
   return "";
 }
 
@@ -67,6 +126,11 @@ std::string sxe::verifyMachineFunction(
       for (unsigned SI = 0; SI < I.numSuccessors(); ++SI)
         if (!I.Succs[SI])
           return describe(MF, B, I, "null successor");
+      int Uses = expectedUses(I.Op);
+      if (Uses >= 0 && I.Uses.size() != static_cast<size_t>(Uses))
+        return describe(MF, B, I,
+                        std::to_string(I.Uses.size()) + " uses, expected " +
+                            std::to_string(Uses));
 
       if (I.Def != MNoReg) {
         std::string Err = checkOperand(MF, B, I, I.Def, /*IsDef=*/true);

@@ -10,11 +10,15 @@
 /// directly by tests/codegen_test.cpp):
 ///
 ///  - every block is non-empty and ends in exactly one terminator;
+///  - every instruction has the operand count its emitter pattern reads
+///    (a StoreElem three uses, an ArrayCheck two, ...);
 ///  - no operand is an unallocated virtual register;
 ///  - slot references appear only on call pseudos (the emitter stages them
 ///    from the frame) and lie inside the function's spill area;
 ///  - reserved registers (RAX/RCX/RDX/RSP/RBP/R15) never appear as
-///    allocated operands outside the rewriter's own spill fixups;
+///    allocated operands outside the rewriter's own spill fixups, and RCX,
+///    which many emitter patterns clobber, appears only on a StoreElem
+///    (the one pattern that leaves it alone) and the reload feeding it;
 ///  - no two live intervals assigned to the same physical register overlap.
 ///
 //===----------------------------------------------------------------------===//

@@ -1,15 +1,14 @@
 //===- codegen/NativeEngine.cpp - Native x86-64 execution engine -------------===//
 //
 // The runtime half of the baseline backend: the NativeCtx struct the
-// emitted code addresses by fixed offsets, the C runtime helpers that
-// reproduce the interpreter's trap-visible semantics (Machine mode on the
-// x86_64 target) bit for bit, and the compile/run pipeline.
+// emitted code addresses by fixed offsets, the array blocks it reads and
+// writes directly, the two C runtime helpers it still calls (allocation and
+// trap), and the compile/run pipeline.
 //
-// Traps unwind by longjmp: every helper that detects a trap condition
-// records the kind and message in the per-run runtime state and jumps
-// straight back to NativeModule::run, abandoning the native frames. The
-// native frames own no resources (the heap lives in NativeRuntime), so
-// the non-local exit is safe.
+// Traps unwind by longjmp: rt_trap records the kind and message in the
+// per-run runtime state and jumps straight back to NativeModule::run,
+// abandoning the native frames. The native frames own no resources (the
+// heap lives in NativeRuntime), so the non-local exit is safe.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,21 +24,14 @@
 #include "support/Error.h"
 #include "support/Timer.h"
 
-#include <cmath>
 #include <csetjmp>
 #include <cstddef>
+#include <cstdlib>
 #include <cstring>
 
 using namespace sxe;
 
 namespace {
-
-/// One heap-allocated array (same representation as the interpreter's:
-/// one 64-bit slot per element regardless of element type).
-struct NativeArray {
-  Type ElemTy;
-  std::vector<uint64_t> Data;
-};
 
 struct NativeRuntime;
 
@@ -63,39 +55,58 @@ static_assert(offsetof(NativeCtx, MaxDepth) == NativeCtxLayout::MaxDepthOffset,
 static_assert(offsetof(NativeCtx, FnTable) == NativeCtxLayout::FnTableOffset,
               "emitted code disagrees with NativeCtx layout");
 
+/// Frees an array block (blocks come from calloc).
+struct BlockDeleter {
+  void operator()(uint64_t *Block) const { std::free(Block); }
+};
+
 /// Per-run state the helpers mutate; reset for every NativeModule::run.
+///
+/// Heap holds the array blocks in allocation order, so block i is the
+/// interpreter's handle i + 1. A block is one 64-bit length word followed
+/// by the elements at their real widths (ArrayBlockLayout). It reserves 8
+/// bytes per element whatever the width: the IR does not tie an access's
+/// element type to the array's, and the inline code scales the index by
+/// the access type, so a mismatched access still stays inside the block.
 struct NativeRuntime {
   const NativeOptions *Opts = nullptr;
-  std::vector<NativeArray> Heap;
+  const MModule *MIR = nullptr;
+  std::vector<std::unique_ptr<uint64_t, BlockDeleter>> Heap;
   uint64_t HeapElements = 0;
   TrapKind Trap = TrapKind::None;
   std::string TrapMessage;
   std::jmp_buf Unwind;
+
+  /// The interpreter's handle for block pointer \p Ref (0 stays null).
+  uint64_t handleOf(uint64_t Ref) const {
+    for (size_t Index = 0; Index < Heap.size(); ++Index)
+      if (reinterpret_cast<uint64_t>(Heap[Index].get()) == Ref)
+        return Index + 1;
+    return 0;
+  }
 };
 
-double bitsAsDouble(uint64_t Bits) {
-  double D;
-  std::memcpy(&D, &Bits, sizeof(D));
-  return D;
+/// Records \p Kind and jumps back to NativeModule::run. No frame that
+/// longjmp abandons may own an object with a destructor, so callers build
+/// the message in RT.TrapMessage before they get here.
+[[noreturn]] void unwind(NativeCtx *Ctx, TrapKind Kind) {
+  Ctx->RT->Trap = Kind;
+  std::longjmp(Ctx->RT->Unwind, 1);
 }
 
 [[noreturn]] void raiseTrap(NativeCtx *Ctx, TrapKind Kind,
                             const char *Message) {
-  Ctx->RT->Trap = Kind;
   Ctx->RT->TrapMessage = Message;
-  std::longjmp(Ctx->RT->Unwind, 1);
+  unwind(Ctx, Kind);
 }
 
 // --- Runtime helpers --------------------------------------------------------
 //
 // Signatures follow the emitter's helper calling convention: ctx first,
-// then the IR operands in order, then the payload immediate (element
-// type / predicate / trap kind) when the helper has one. Each body is a
-// transliteration of the corresponding Interpreter.cpp case, including
-// the post-execute W32 masking the x86_64 target model applies (division
-// and d2i return zero-extended 32-bit results).
+// then the operands. Each body raises exactly the trap and message the
+// corresponding Interpreter.cpp case does.
 
-uint64_t rtNewArray(NativeCtx *Ctx, uint64_t Len, uint64_t ElemTy) {
+uint64_t rtNewArray(NativeCtx *Ctx, uint64_t Len) {
   NativeRuntime &RT = *Ctx->RT;
   int32_t LenLow = static_cast<int32_t>(Len);
   if (LenLow < 0)
@@ -110,220 +121,59 @@ uint64_t rtNewArray(NativeCtx *Ctx, uint64_t Len, uint64_t ElemTy) {
               "array exceeds the configured limit");
   if (RT.HeapElements + N > RT.Opts->MaxHeapElements)
     reportFatalError("native heap limit exceeded (workload bug)");
+  auto *Block = static_cast<uint64_t *>(std::calloc(N + 1, sizeof(uint64_t)));
+  if (!Block)
+    reportFatalError("native heap: out of memory");
+  Block[ArrayBlockLayout::LengthOffset / 8] = N;
   RT.HeapElements += N;
-  RT.Heap.push_back(
-      NativeArray{static_cast<Type>(ElemTy), std::vector<uint64_t>(N, 0)});
-  return RT.Heap.size(); // Handle: index + 1; 0 is the null reference.
+  RT.Heap.emplace_back(Block);
+  return reinterpret_cast<uint64_t>(Block);
 }
 
-uint64_t rtArrayLen(NativeCtx *Ctx, uint64_t Handle) {
-  NativeRuntime &RT = *Ctx->RT;
-  if (Handle == 0 || Handle > RT.Heap.size())
+/// Raises the trap of \p Site, reached from function \p FnIndex's stub.
+[[noreturn]] void rtTrap(NativeCtx *Ctx, uint64_t Site, uint64_t FnIndex) {
+  switch (static_cast<TrapSite>(Site)) {
+  case TrapSite::NullArrayLen:
     raiseTrap(Ctx, TrapKind::NullArray, "arraylen of null");
-  return RT.Heap[Handle - 1].Data.size();
-}
-
-/// Shared access checks; returns the element index on success.
-uint32_t checkAccess(NativeCtx *Ctx, uint64_t Handle, uint64_t Index,
-                     NativeArray *&Array) {
-  NativeRuntime &RT = *Ctx->RT;
-  if (Handle == 0 || Handle > RT.Heap.size())
+  case TrapSite::NullArrayAccess:
     raiseTrap(Ctx, TrapKind::NullArray, "array access through null");
-  Array = &RT.Heap[Handle - 1];
-  uint32_t IndexLow = static_cast<uint32_t>(Index);
-  if (IndexLow >= Array->Data.size())
+  case TrapSite::Bounds:
     raiseTrap(Ctx, TrapKind::BoundsCheck, "array index out of bounds");
-  int64_t IndexFull = static_cast<int64_t>(Index);
-  if (RT.Opts->CheckWildAddresses &&
-      IndexFull != static_cast<int64_t>(IndexLow))
-    raiseTrap(Ctx, TrapKind::WildAddress,
-              "effective address disagrees with bounds-checked index");
-  return IndexLow;
-}
-
-uint64_t rtArrayLoad(NativeCtx *Ctx, uint64_t Handle, uint64_t Index,
-                     uint64_t ElemTy) {
-  NativeArray *Array = nullptr;
-  uint32_t At = checkAccess(Ctx, Handle, Index, Array);
-  uint64_t Raw = Array->Data[At];
-  // x86-64 load widening: byte and word loads zero-extend (movzx is the
-  // natural form), dword loads zero-extend implicitly — exactly the
-  // x86_64 TargetInfo model (loadSignExtends is false for I16/I32).
-  switch (static_cast<Type>(ElemTy)) {
-  case Type::I8:
-    return Raw & 0xFF;
-  case Type::I16:
-  case Type::U16:
-    return Raw & 0xFFFF;
-  case Type::I32:
-    return Raw & 0xFFFFFFFF;
-  default:
-    return Raw;
-  }
-}
-
-uint64_t rtArrayStore(NativeCtx *Ctx, uint64_t Handle, uint64_t Index,
-                      uint64_t Value, uint64_t ElemTy) {
-  NativeArray *Array = nullptr;
-  uint32_t At = checkAccess(Ctx, Handle, Index, Array);
-  switch (static_cast<Type>(ElemTy)) {
-  case Type::I8:
-    Value &= 0xFF;
-    break;
-  case Type::I16:
-  case Type::U16:
-    Value &= 0xFFFF;
-    break;
-  case Type::I32:
-    Value &= 0xFFFFFFFF;
-    break;
-  default:
-    break;
-  }
-  Array->Data[At] = Value;
-  return 0;
-}
-
-/// W32 division, Java semantics on x86-64: idiv consumes the low 32 bits
-/// only, so unextended upper halves cannot influence the result; the
-/// 64-bit quotient of int32 operands never overflows, and the final
-/// int32 cast wraps INT_MIN/-1 like the hardware sequence does. The
-/// result is zero-extended (a 32-bit register write).
-uint64_t div32Common(NativeCtx *Ctx, uint64_t A64, uint64_t B64, bool IsDiv) {
-  int64_t A = static_cast<int32_t>(A64);
-  int64_t B = static_cast<int32_t>(B64);
-  if (static_cast<int32_t>(B) == 0)
+  case TrapSite::WildIndex:
+    Ctx->RT->TrapMessage =
+        "effective address disagrees with bounds-checked index in ";
+    Ctx->RT->TrapMessage += Ctx->RT->MIR->Functions[FnIndex]->name();
+    unwind(Ctx, TrapKind::WildAddress);
+  case TrapSite::DivByZero:
     raiseTrap(Ctx, TrapKind::DivByZero, "integer divide by zero");
-  int64_t Quotient = A / B;
-  int64_t Value = IsDiv ? Quotient : A - Quotient * B;
-  return static_cast<uint32_t>(static_cast<int32_t>(Value));
-}
-
-uint64_t rtDiv32(NativeCtx *Ctx, uint64_t A, uint64_t B) {
-  return div32Common(Ctx, A, B, true);
-}
-
-uint64_t rtRem32(NativeCtx *Ctx, uint64_t A, uint64_t B) {
-  return div32Common(Ctx, A, B, false);
-}
-
-uint64_t div64Common(NativeCtx *Ctx, uint64_t A64, uint64_t B64, bool IsDiv) {
-  int64_t A = static_cast<int64_t>(A64);
-  int64_t B = static_cast<int64_t>(B64);
-  if (B == 0)
-    raiseTrap(Ctx, TrapKind::DivByZero, "integer divide by zero");
-  if (A == INT64_MIN && B == -1) // Java wraps; C leaves this undefined.
-    return IsDiv ? static_cast<uint64_t>(INT64_MIN) : 0;
-  return static_cast<uint64_t>(IsDiv ? A / B : A % B);
-}
-
-uint64_t rtDiv64(NativeCtx *Ctx, uint64_t A, uint64_t B) {
-  return div64Common(Ctx, A, B, true);
-}
-
-uint64_t rtRem64(NativeCtx *Ctx, uint64_t A, uint64_t B) {
-  return div64Common(Ctx, A, B, false);
-}
-
-/// Saturating double-to-int32 (Java d2i), returned zero-extended — the
-/// cvttsd2si destination is a 32-bit register write.
-uint64_t rtD2I(NativeCtx *, uint64_t Bits) {
-  double D = bitsAsDouble(Bits);
-  int32_t Value;
-  if (std::isnan(D))
-    Value = 0;
-  else if (D >= 2147483647.0)
-    Value = INT32_MAX;
-  else if (D <= -2147483648.0)
-    Value = INT32_MIN;
-  else
-    Value = static_cast<int32_t>(D);
-  return static_cast<uint32_t>(Value);
-}
-
-uint64_t rtFCmp(NativeCtx *, uint64_t ABits, uint64_t BBits, uint64_t Pred) {
-  double A = bitsAsDouble(ABits), B = bitsAsDouble(BBits);
-  bool Truth;
-  if (std::isnan(A) || std::isnan(B))
-    Truth = static_cast<CmpPred>(Pred) == CmpPred::NE; // Unordered: only !=.
-  else
-    switch (static_cast<CmpPred>(Pred)) {
-    case CmpPred::EQ:
-      Truth = A == B;
-      break;
-    case CmpPred::NE:
-      Truth = A != B;
-      break;
-    case CmpPred::SLT:
-    case CmpPred::ULT:
-      Truth = A < B;
-      break;
-    case CmpPred::SLE:
-    case CmpPred::ULE:
-      Truth = A <= B;
-      break;
-    case CmpPred::SGT:
-    case CmpPred::UGT:
-      Truth = A > B;
-      break;
-    case CmpPred::SGE:
-    case CmpPred::UGE:
-      Truth = A >= B;
-      break;
-    default:
-      Truth = false;
-    }
-  return Truth ? 1 : 0;
-}
-
-[[noreturn]] void rtTrap(NativeCtx *Ctx, uint64_t Kind) {
-  switch (static_cast<TrapKind>(Kind)) {
-  case TrapKind::ExplicitTrap:
-    raiseTrap(Ctx, TrapKind::ExplicitTrap, "trap instruction executed");
-  case TrapKind::StackOverflow:
+  case TrapSite::StackOverflow:
     raiseTrap(Ctx, TrapKind::StackOverflow, "call depth limit exceeded");
-  case TrapKind::StepLimit:
+  case TrapSite::StepLimit:
     raiseTrap(Ctx, TrapKind::StepLimit, "instruction budget exhausted");
-  default:
-    raiseTrap(Ctx, static_cast<TrapKind>(Kind), "native trap");
+  case TrapSite::Explicit:
+    raiseTrap(Ctx, TrapKind::ExplicitTrap, "trap instruction executed");
   }
-}
-
-uint64_t helperAddr(uint64_t (*Fn)(NativeCtx *, uint64_t)) {
-  return reinterpret_cast<uint64_t>(Fn);
-}
-uint64_t helperAddr(uint64_t (*Fn)(NativeCtx *, uint64_t, uint64_t)) {
-  return reinterpret_cast<uint64_t>(Fn);
-}
-uint64_t helperAddr(uint64_t (*Fn)(NativeCtx *, uint64_t, uint64_t,
-                                   uint64_t)) {
-  return reinterpret_cast<uint64_t>(Fn);
-}
-uint64_t helperAddr(uint64_t (*Fn)(NativeCtx *, uint64_t, uint64_t, uint64_t,
-                                   uint64_t)) {
-  return reinterpret_cast<uint64_t>(Fn);
-}
-uint64_t helperAddr(void (*Fn)(NativeCtx *, uint64_t)) {
-  return reinterpret_cast<uint64_t>(Fn);
+  sxeUnreachable("invalid TrapSite enumerator");
 }
 
 HelperTable makeHelperTable() {
   HelperTable T;
-  T.NewArray = helperAddr(rtNewArray);
-  T.ArrayLen = helperAddr(rtArrayLen);
-  T.ArrayLoad = helperAddr(rtArrayLoad);
-  T.ArrayStore = helperAddr(rtArrayStore);
-  T.Div32 = helperAddr(rtDiv32);
-  T.Rem32 = helperAddr(rtRem32);
-  T.Div64 = helperAddr(rtDiv64);
-  T.Rem64 = helperAddr(rtRem64);
-  T.D2I = helperAddr(rtD2I);
-  T.FCmp = helperAddr(rtFCmp);
-  T.Trap = helperAddr(rtTrap);
+  T.NewArray = reinterpret_cast<uint64_t>(&rtNewArray);
+  T.Trap = reinterpret_cast<uint64_t>(&rtTrap);
   return T;
 }
 
 using EntryFn = uint64_t (*)(NativeCtx *, const uint64_t *);
+
+/// Runs \p Entry with rt_trap's longjmp target set. After a trap the
+/// result is 0 and RT->Trap says what happened. Keeping the setjmp in its
+/// own frame, with nothing live across it, leaves run()'s locals out of
+/// reach of the longjmp.
+uint64_t callEntry(EntryFn Entry, NativeCtx &Ctx, const uint64_t *Args) {
+  if (setjmp(Ctx.RT->Unwind) != 0)
+    return 0;
+  return Entry(&Ctx, Args);
+}
 
 } // namespace
 
@@ -366,7 +216,9 @@ NativeModule::compile(const Module &M, const NativeOptions &Opts,
   std::unique_ptr<NativeModule> NM(new NativeModule);
   NM->P->Opts = Opts;
 
-  NM->P->MIR = lowerModule(M, &NM->P->Info.Lowering);
+  LoweringOptions LOpts;
+  LOpts.CheckWildAddresses = Opts.CheckWildAddresses;
+  NM->P->MIR = lowerModule(M, &NM->P->Info.Lowering, LOpts);
   MModule &MIR = *NM->P->MIR;
 
   for (auto &MF : MIR.Functions) {
@@ -442,6 +294,15 @@ ExecResult NativeModule::run(const std::string &FuncName,
 
   NativeRuntime RT;
   RT.Opts = &P->Opts;
+  RT.MIR = P->MIR.get();
+
+  // An arrayref argument cannot name a block of this run (none exists
+  // yet), so it enters as null rather than as a pointer to nowhere.
+  const Function &Source = *MF->source();
+  std::vector<uint64_t> EntryArgs = Args;
+  for (uint32_t Param = 0; Param < MF->NumParams; ++Param)
+    if (Source.regType(Param) == Type::ArrayRef)
+      EntryArgs[Param] = 0;
 
   int64_t Fuel = P->Opts.MaxSteps > static_cast<uint64_t>(INT64_MAX)
                      ? INT64_MAX
@@ -454,16 +315,13 @@ ExecResult NativeModule::run(const std::string &FuncName,
   Ctx.RT = &RT;
 
   ExecResult Result;
-  uint64_t Ret = 0;
-  if (setjmp(RT.Unwind) == 0) {
-    EntryFn Entry =
-        reinterpret_cast<EntryFn>(P->FnTable[MF->index()]);
-    Ret = Entry(&Ctx, Args.data());
-  }
+  uint64_t Ret = callEntry(reinterpret_cast<EntryFn>(P->FnTable[MF->index()]),
+                           Ctx, EntryArgs.data());
   Result.Trap = RT.Trap;
   Result.TrapMessage = RT.TrapMessage;
   if (Result.Trap == TrapKind::None)
-    Result.ReturnValue = Ret;
+    Result.ReturnValue =
+        Source.returnType() == Type::ArrayRef ? RT.handleOf(Ret) : Ret;
   // Fuel is charged per block head for the block's whole IR cost, so this
   // matches the interpreter's instruction count on complete blocks and
   // slightly overcounts a block a trap cut short.

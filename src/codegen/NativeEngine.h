@@ -14,15 +14,19 @@
 ///
 /// Semantics are the interpreter's Machine mode on the x86_64 target,
 /// which the hardware now enforces for free: 32-bit instruction forms
-/// implicitly zero-extend, movsx/movzx cost real instructions, and every
-/// operation with observable trap behaviour (division, array access,
-/// explicit traps) goes through C runtime helpers that reproduce the
-/// interpreter's checks bit for bit and longjmp out on a trap.
+/// implicitly zero-extend, movsx/movzx cost real instructions, and array
+/// access, division, floating-point compares and d2i are inline sequences
+/// that reproduce the interpreter's checks, trap order and messages. Only
+/// allocation and trapping call into C++; a trap longjmps out.
+///
+/// An arrayref is a pointer to an array block ([len | elements], see
+/// ArrayBlockLayout) that the run's runtime owns. run() hands arrayref
+/// arguments in as null and maps a returned block back to the
+/// interpreter's handle number, so results compare directly.
 ///
 /// Native execution is gated twice: hostSupported() requires an x86-64
 /// POSIX host, and compile() can still fail at mprotect time (W^X-hostile
-/// environments); callers fall back to the interpreter or the machine-IR
-/// cycle model (codegen/CycleModel.h).
+/// environments); callers fall back to the interpreter.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -147,17 +147,21 @@ private:
       }
 
       // Distinct spilled use vregs take the scratches in appearance order.
-      // Non-call instructions have at most two use operands, so two
-      // scratches always suffice.
-      uint32_t SpilledUse[2] = {MNoReg, MNoReg};
-      const uint32_t Scratch[2] = {RAX, RDX};
+      // Non-call instructions have at most three use operands (StoreElem is
+      // the only one with three), so three scratches always suffice. RCX is
+      // the emitter's own scratch, so it is handed out last: only a store
+      // with all three operands spilled gets it, and the store's pattern
+      // needs no scratch of its own.
+      uint32_t SpilledUse[3] = {MNoReg, MNoReg, MNoReg};
+      const uint32_t Scratch[3] = {RAX, RDX, RCX};
       unsigned NumSpilledUses = 0;
       for (uint32_t U : I.Uses) {
         if (!isVirtReg(U) || !isSpilled(U))
           continue;
-        if (U == SpilledUse[0] || U == SpilledUse[1])
+        if (std::find(SpilledUse, SpilledUse + NumSpilledUses, U) !=
+            SpilledUse + NumSpilledUses)
           continue;
-        assert(NumSpilledUses < 2 && "more than two spilled uses");
+        assert(NumSpilledUses < 3 && "more than three spilled uses");
         SpilledUse[NumSpilledUses++] = U;
       }
       for (unsigned Index = 0; Index < NumSpilledUses; ++Index) {

@@ -15,7 +15,13 @@
 /// Register conventions (see docs/CODEGEN.md):
 ///
 ///   RAX, RDX     reserved spill-rewrite scratches
-///   RCX          reserved emitter scratch (shift counts, setcc, FP masks)
+///   RCX          reserved emitter scratch (shift counts, setcc, FP masks,
+///                the wild-address check, the divisor); also the third
+///                spill scratch of an element store
+///
+/// The inline division sequence clobbers RAX, RDX and RCX and nothing
+/// else, so it needs no call treatment: only the three reserved registers
+/// are ever overwritten behind the allocator's back.
 ///   RSP, RBP     frame
 ///   R15          native context pointer
 ///   RBX R12-R14  allocatable, callee-saved (survive calls)

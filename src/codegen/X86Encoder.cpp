@@ -47,15 +47,25 @@ void X86Assembler::imm64(uint64_t V) {
     byte((V >> Shift) & 0xFF);
 }
 
-void X86Assembler::rex(bool W, uint32_t Reg, uint32_t Rm) {
+namespace {
+
+/// Byte registers 4-7 mean spl..dil only under a REX prefix.
+bool needsRexAsByte(uint32_t Reg) { return Reg >= 4 && Reg < 8; }
+
+} // namespace
+
+void X86Assembler::rex(bool W, uint32_t Reg, uint32_t Rm, uint32_t Index,
+                       bool Force) {
   uint8_t Rex = 0x40;
   if (W)
     Rex |= 0x08;
   if (Reg >= 8)
     Rex |= 0x04;
+  if (Index >= 8)
+    Rex |= 0x02;
   if (Rm >= 8)
     Rex |= 0x01;
-  if (Rex != 0x40)
+  if (Rex != 0x40 || Force)
     byte(Rex);
 }
 
@@ -68,6 +78,17 @@ void X86Assembler::modRM(uint32_t Reg, uint32_t Base, int32_t Disp) {
   byte(0x80 | ((Reg & 7) << 3) | (Base & 7));
   if ((Base & 7) == 4) // RSP/R12 demand a SIB byte.
     byte(0x24);
+  imm32(Disp);
+}
+
+void X86Assembler::modSib(uint32_t Reg, uint32_t Base, uint32_t Index,
+                          unsigned Scale, int32_t Disp) {
+  if (Index == 4) // Index field 100 without REX.X means "no index".
+    reportFatalError("codegen: rsp cannot be an index register");
+  uint8_t ScaleBits = Scale == 1 ? 0 : Scale == 2 ? 1 : Scale == 4 ? 2 : 3;
+  // mod=10 (disp32), rm=100 (a SIB byte follows).
+  byte(0x80 | ((Reg & 7) << 3) | 4);
+  byte((ScaleBits << 6) | ((Index & 7) << 3) | (Base & 7));
   imm32(Disp);
 }
 
@@ -87,6 +108,12 @@ void X86Assembler::movImm64(uint32_t Dst, uint64_t Imm) {
   rex(true, 0, Dst);
   byte(0xB8 | (Dst & 7));
   imm64(Imm);
+}
+
+void X86Assembler::movImm32(uint32_t Dst, uint32_t Imm) {
+  rex(false, 0, Dst);
+  byte(0xB8 | (Dst & 7));
+  imm32(static_cast<int32_t>(Imm));
 }
 
 void X86Assembler::aluRR(uint8_t Opcode, bool W64, uint32_t Dst,
@@ -116,6 +143,32 @@ void X86Assembler::cmpRR(bool W64, uint32_t A, uint32_t B) {
   aluRR(0x39, W64, A, B); // flags = A - B (rm - reg)
 }
 
+void X86Assembler::cmpRImm8(bool W64, uint32_t A, int8_t Imm) {
+  rex(W64, 0, A);
+  byte(0x83);
+  modRR(7, A);
+  byte(static_cast<uint8_t>(Imm));
+}
+
+void X86Assembler::cmpRImm32(bool W64, uint32_t A, int32_t Imm) {
+  rex(W64, 0, A);
+  byte(0x81);
+  modRR(7, A);
+  imm32(Imm);
+}
+
+void X86Assembler::andRR8(uint32_t Dst, uint32_t Src) {
+  rex(false, Src, Dst, 0, needsRexAsByte(Src) || needsRexAsByte(Dst));
+  byte(0x20);
+  modRR(Src, Dst);
+}
+
+void X86Assembler::orRR8(uint32_t Dst, uint32_t Src) {
+  rex(false, Src, Dst, 0, needsRexAsByte(Src) || needsRexAsByte(Dst));
+  byte(0x08);
+  modRR(Src, Dst);
+}
+
 void X86Assembler::imulRR(bool W64, uint32_t Dst, uint32_t Src) {
   // RM form: reg field is the destination.
   rex(W64, Dst, Src);
@@ -132,6 +185,16 @@ void X86Assembler::grp3(uint8_t Ext, bool W64, uint32_t Reg) {
 
 void X86Assembler::negR(bool W64, uint32_t Reg) { grp3(3, W64, Reg); }
 void X86Assembler::notR(bool W64, uint32_t Reg) { grp3(2, W64, Reg); }
+void X86Assembler::idivR(bool W64, uint32_t Divisor) {
+  grp3(7, W64, Divisor);
+}
+
+void X86Assembler::cdq() { byte(0x99); }
+
+void X86Assembler::cqo() {
+  byte(0x48);
+  byte(0x99);
+}
 
 void X86Assembler::shiftCl(uint8_t Ext, bool W64, uint32_t Reg) {
   rex(W64, 0, Reg);
@@ -177,16 +240,17 @@ void X86Assembler::movzx16(uint32_t Dst, uint32_t Src) {
   modRR(Dst, Src);
 }
 
-void X86Assembler::testRR64(uint32_t A, uint32_t B) {
-  rex(true, B, A);
+void X86Assembler::testRR(bool W64, uint32_t A, uint32_t B) {
+  rex(W64, B, A);
   byte(0x85);
   modRR(B, A);
 }
 
-void X86Assembler::setccCl(X86Cond Cond) {
+void X86Assembler::setcc(X86Cond Cond, uint32_t Reg) {
+  rex(false, 0, Reg, 0, needsRexAsByte(Reg));
   byte(0x0F);
   byte(0x90 | static_cast<uint8_t>(Cond));
-  modRR(0, 1); // setcc cl (RCX = 1)
+  modRR(0, Reg);
 }
 
 void X86Assembler::movzxCl32(uint32_t Dst) {
@@ -218,6 +282,33 @@ void X86Assembler::cmpM32R(uint32_t Base, int32_t Disp, uint32_t Src) {
   rex(false, Src, Base);
   byte(0x39);
   modRM(Src, Base, Disp);
+}
+
+void X86Assembler::cmpRM32(uint32_t Reg, uint32_t Base, int32_t Disp) {
+  rex(false, Reg, Base);
+  byte(0x3B);
+  modRM(Reg, Base, Disp);
+}
+
+void X86Assembler::loadIndexed(unsigned Bytes, uint32_t Dst, uint32_t Base,
+                               uint32_t Index, int32_t Disp) {
+  rex(Bytes == 8, Dst, Base, Index);
+  if (Bytes == 1 || Bytes == 2) {
+    byte(0x0F);
+    byte(Bytes == 1 ? 0xB6 : 0xB7); // movzx r32, r/m8 | r/m16
+  } else {
+    byte(0x8B); // mov r32 | r64, r/m
+  }
+  modSib(Dst, Base, Index, Bytes, Disp);
+}
+
+void X86Assembler::storeIndexed(unsigned Bytes, uint32_t Base,
+                                uint32_t Index, int32_t Disp, uint32_t Src) {
+  if (Bytes == 2)
+    byte(0x66); // operand-size prefix precedes REX
+  rex(Bytes == 8, Src, Base, Index, Bytes == 1 && needsRexAsByte(Src));
+  byte(Bytes == 1 ? 0x88 : 0x89); // mov r/m8, r8 | mov r/m, r
+  modSib(Src, Base, Index, Bytes, Disp);
 }
 
 void X86Assembler::incM32(uint32_t Base, int32_t Disp) {
@@ -308,11 +399,28 @@ void X86Assembler::divsd01() {
   modRR(0, 1);
 }
 
-void X86Assembler::xorpd01() {
+void X86Assembler::xorpd(uint32_t XmmDst, uint32_t XmmSrc) {
   byte(0x66);
+  rex(false, XmmDst, XmmSrc);
   byte(0x0F);
   byte(0x57);
-  modRR(0, 1);
+  modRR(XmmDst, XmmSrc);
+}
+
+void X86Assembler::ucomisd(uint32_t XmmA, uint32_t XmmB) {
+  byte(0x66);
+  rex(false, XmmA, XmmB);
+  byte(0x0F);
+  byte(0x2E);
+  modRR(XmmA, XmmB);
+}
+
+void X86Assembler::cvttsd2si32(uint32_t Dst, uint32_t Xmm) {
+  byte(0xF2);
+  rex(false, Dst, Xmm);
+  byte(0x0F);
+  byte(0x2C);
+  modRR(Dst, Xmm);
 }
 
 void X86Assembler::cvtsi2sd0(uint32_t Src) {

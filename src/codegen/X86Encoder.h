@@ -7,15 +7,18 @@
 ///
 /// \file
 /// A minimal x86-64 byte assembler covering exactly what the baseline
-/// emitter needs: 32/64-bit register ALU, the explicit conversion family
-/// (movsx/movzx/movsxd/movl — the instructions this project measures),
-/// moves against [base+disp32] memory, scalar double arithmetic through
-/// xmm0/xmm1, and rel32 control flow with post-hoc patching.
+/// emitter needs: 32/64-bit register ALU and division, the explicit
+/// conversion family (movsx/movzx/movsxd/movl — the instructions this
+/// project measures), moves against [base+disp32] memory, array element
+/// loads and stores at [base+index*scale+disp32], scalar double arithmetic
+/// and compares through xmm0/xmm1, and rel32 control flow with post-hoc
+/// patching.
 ///
 /// Register numbers are the hardware encodings of codegen/MachineIR.h's
-/// X86Reg (REX.R/B are derived from bit 3). Memory operands are always
+/// X86Reg (REX.R/X/B are derived from bit 3). Memory operands are always
 /// encoded with a disp32 for simplicity; RSP/R12 bases get their SIB byte
-/// automatically.
+/// automatically. Byte-register operands numbered 4-7 get a REX prefix so
+/// they name spl/bpl/sil/dil rather than ah/ch/dh/bh.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +42,8 @@ enum class X86Cond : uint8_t {
   BE = 0x6, ///< unsigned <=
   A = 0x7,  ///< unsigned >
   S = 0x8,  ///< sign set
+  P = 0xA,  ///< parity set (ucomisd: unordered)
+  NP = 0xB, ///< parity clear (ucomisd: ordered)
   L = 0xC,  ///< signed <
   GE = 0xD,
   LE = 0xE,
@@ -58,6 +63,7 @@ public:
   void movRR64(uint32_t Dst, uint32_t Src);
   void movRR32(uint32_t Dst, uint32_t Src); ///< movl: implicit zero-extend.
   void movImm64(uint32_t Dst, uint64_t Imm);
+  void movImm32(uint32_t Dst, uint32_t Imm); ///< mov r32, imm32 (zero-extends)
 
   // --- Two-address ALU ---------------------------------------------------
   void addRR(bool W64, uint32_t Dst, uint32_t Src);
@@ -71,6 +77,11 @@ public:
   void shlCl(bool W64, uint32_t Reg);
   void shrCl(bool W64, uint32_t Reg);
   void sarCl(bool W64, uint32_t Reg);
+  void idivR(bool W64, uint32_t Divisor); ///< edx:eax / r32 or rdx:rax / r64
+  void cdq();                             ///< edx = sign of eax
+  void cqo();                             ///< rdx = sign of rax
+  void andRR8(uint32_t Dst, uint32_t Src); ///< and r8, r8
+  void orRR8(uint32_t Dst, uint32_t Src);  ///< or r8, r8
 
   // --- Conversions -------------------------------------------------------
   void movsx8(uint32_t Dst, uint32_t Src);  ///< movsx r64, r8
@@ -81,19 +92,30 @@ public:
 
   // --- Compare / test / setcc -------------------------------------------
   void cmpRR(bool W64, uint32_t A, uint32_t B); ///< flags = A - B
-  void testRR64(uint32_t A, uint32_t B);
-  void setccCl(X86Cond Cond);            ///< setcc cl
-  void movzxCl32(uint32_t Dst);          ///< movzx dst32, cl
+  void cmpRImm8(bool W64, uint32_t A, int8_t Imm);   ///< flags = A - Imm
+  void cmpRImm32(bool W64, uint32_t A, int32_t Imm); ///< flags = A - Imm
+  void testRR(bool W64, uint32_t A, uint32_t B);
+  void setcc(X86Cond Cond, uint32_t Reg); ///< setcc r8
+  void movzxCl32(uint32_t Dst);           ///< movzx dst32, cl
 
   // --- Memory (always [Base + disp32]) ----------------------------------
   void movRM64(uint32_t Dst, uint32_t Base, int32_t Disp);
   void movMR64(uint32_t Base, int32_t Disp, uint32_t Src);
   void movRM32(uint32_t Dst, uint32_t Base, int32_t Disp);
   void cmpM32R(uint32_t Base, int32_t Disp, uint32_t Src);
+  void cmpRM32(uint32_t Reg, uint32_t Base, int32_t Disp); ///< flags = Reg - mem
   void incM32(uint32_t Base, int32_t Disp);
   void decM32(uint32_t Base, int32_t Disp);
   void subM64Imm32(uint32_t Base, int32_t Disp, int32_t Imm);
   void leaRM(uint32_t Dst, uint32_t Base, int32_t Disp);
+
+  // --- Array elements: [Base + Index*Bytes + Disp32] ---------------------
+  // Bytes (1, 2, 4 or 8) is both the access width and the index scale.
+  // Loads zero-extend: movzx for bytes and words, a 32-bit mov for dwords.
+  void loadIndexed(unsigned Bytes, uint32_t Dst, uint32_t Base,
+                   uint32_t Index, int32_t Disp);
+  void storeIndexed(unsigned Bytes, uint32_t Base, uint32_t Index,
+                    int32_t Disp, uint32_t Src);
 
   // --- Stack / frame -----------------------------------------------------
   void pushR(uint32_t Reg);
@@ -107,8 +129,10 @@ public:
   void subsd01();
   void mulsd01();
   void divsd01();
-  void xorpd01(); ///< xorpd xmm0, xmm1 (sign-flip mask in xmm1)
+  void xorpd(uint32_t XmmDst, uint32_t XmmSrc);
   void cvtsi2sd0(uint32_t Src); ///< cvtsi2sd xmm0, r64
+  void ucomisd(uint32_t XmmA, uint32_t XmmB);   ///< flags = compare(A, B)
+  void cvttsd2si32(uint32_t Dst, uint32_t Xmm); ///< cvttsd2si r32, xmmN
 
   // --- Control flow ------------------------------------------------------
   void callR(uint32_t Reg);
@@ -126,11 +150,15 @@ private:
   void byte(uint8_t B) { Code.push_back(B); }
   void imm32(int32_t V);
   void imm64(uint64_t V);
-  /// REX prefix; emitted when any bit is set or \p Force (r8..r15 byte
-  /// registers would be wrong without it, but we only touch cl).
-  void rex(bool W, uint32_t Reg, uint32_t Rm);
+  /// REX prefix; emitted when any bit is set or \p Force is (a byte
+  /// operand in spl..dil needs a bare REX to be told from ah..bh).
+  void rex(bool W, uint32_t Reg, uint32_t Rm, uint32_t Index = 0,
+           bool Force = false);
   void modRR(uint32_t Reg, uint32_t Rm);
   void modRM(uint32_t Reg, uint32_t Base, int32_t Disp);
+  /// ModRM + SIB + disp32 for [Base + Index*Scale + Disp].
+  void modSib(uint32_t Reg, uint32_t Base, uint32_t Index, unsigned Scale,
+              int32_t Disp);
   void aluRR(uint8_t Opcode, bool W64, uint32_t Dst, uint32_t Src);
   void grp3(uint8_t Ext, bool W64, uint32_t Reg);
   void shiftCl(uint8_t Ext, bool W64, uint32_t Reg);

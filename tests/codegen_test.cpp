@@ -1,30 +1,36 @@
 //===- tests/codegen_test.cpp - Native backend tests -----------------------------===//
 //
-// Exercises the baseline x86-64 backend layer by layer: lowering to
-// machine IR, live-interval construction on branchy and loopy CFGs,
-// linear-scan allocation under artificially tight register pools (the
-// k+1-values-on-k-registers spill round-trips), the machine verifier's
-// structural checks, and — on hosts that can execute x86-64 — full
+// Exercises the baseline x86-64 backend layer by layer: byte-exact
+// encodings of the encoder's memory, division and SSE forms, lowering to
+// machine IR, live-interval construction on branchy and loopy CFGs and
+// around calls, linear-scan allocation under artificially tight register
+// pools (the k+1-values-on-k-registers spill round-trips, and pools so
+// empty that every operand spills), the machine verifier's structural
+// checks, and — on hosts that can execute x86-64 — full
 // native-vs-interpreter parity on hand-built functions and the pinned
-// corpus programs, including trap kinds, the call-depth guard, and the
+// corpus programs, including trap kinds and messages, the inline array,
+// division, compare and d2i sequences, the call-depth guard, and the
 // fuel-based step limit.
 //
 //===---------------------------------------------------------------------------===//
 
-#include "codegen/CycleModel.h"
 #include "codegen/LiveIntervals.h"
 #include "codegen/Lowering.h"
 #include "codegen/MachineVerifier.h"
 #include "codegen/NativeEngine.h"
 #include "codegen/RegAlloc.h"
+#include "codegen/X86Encoder.h"
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
 #include "parser/Parser.h"
 #include "target/TargetInfo.h"
 
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <gtest/gtest.h>
 
 using namespace sxe;
@@ -51,6 +57,7 @@ void expectNativeMatchesInterp(Module &M, const std::vector<uint64_t> &Args = {}
   IOpts.MaxSteps = NOpts.MaxSteps;
   IOpts.MaxCallDepth = NOpts.MaxCallDepth;
   IOpts.MaxArrayLen = NOpts.MaxArrayLen;
+  IOpts.CheckWildAddresses = NOpts.CheckWildAddresses;
   ExecResult Want = Interpreter(M, IOpts).run("main", Args);
 
   std::string Error;
@@ -61,8 +68,142 @@ void expectNativeMatchesInterp(Module &M, const std::vector<uint64_t> &Args = {}
   EXPECT_EQ(Got.Trap, Want.Trap)
       << "native trap '" << trapKindName(Got.Trap) << "' vs interpreter '"
       << trapKindName(Want.Trap) << "'";
+  EXPECT_EQ(Got.TrapMessage, Want.TrapMessage);
   if (Want.Trap == TrapKind::None && Got.Trap == TrapKind::None)
     EXPECT_EQ(Got.ReturnValue, Want.ReturnValue);
+}
+
+/// Register pools so small that every interval spills: each operand of
+/// every instruction then arrives through the rewriter's scratches.
+NativeOptions everythingSpilled() {
+  NativeOptions Opts;
+  Opts.RegAlloc.MaxCalleeSaved = 0;
+  Opts.RegAlloc.MaxCallerSaved = 0;
+  return Opts;
+}
+
+// --- Encoder ----------------------------------------------------------------
+//
+// Expected bytes come from GNU as (intel syntax, `{disp32}` where a memory
+// operand is involved, since the encoder always emits a 32-bit
+// displacement).
+
+using Bytes = std::vector<uint8_t>;
+
+template <typename EmitFn> Bytes encode(EmitFn Emit) {
+  X86Assembler A;
+  Emit(A);
+  return A.code();
+}
+
+TEST(X86EncoderTest, IndexedLoadsUseSibWithDisp32) {
+  // mov eax, dword [rbp + r8*4 + 8]
+  EXPECT_EQ(encode([](X86Assembler &A) { A.loadIndexed(4, RAX, RBP, R8, 8); }),
+            (Bytes{0x42, 0x8B, 0x84, 0x85, 0x08, 0x00, 0x00, 0x00}));
+  // mov r9, qword [r13 + r14*8 + 8]
+  EXPECT_EQ(encode([](X86Assembler &A) { A.loadIndexed(8, R9, R13, R14, 8); }),
+            (Bytes{0x4F, 0x8B, 0x8C, 0xF5, 0x08, 0x00, 0x00, 0x00}));
+  // movzx esi, byte [r12 + r9*1 + 8]
+  EXPECT_EQ(encode([](X86Assembler &A) { A.loadIndexed(1, RSI, R12, R9, 8); }),
+            (Bytes{0x43, 0x0F, 0xB6, 0xB4, 0x0C, 0x08, 0x00, 0x00, 0x00}));
+  // movzx edi, word [rbx + r10*2 + 8]
+  EXPECT_EQ(encode([](X86Assembler &A) { A.loadIndexed(2, RDI, RBX, R10, 8); }),
+            (Bytes{0x42, 0x0F, 0xB7, 0xBC, 0x53, 0x08, 0x00, 0x00, 0x00}));
+  // mov r11d, dword [r12 + r12*4 + 8]: R12 as both base and index.
+  EXPECT_EQ(
+      encode([](X86Assembler &A) { A.loadIndexed(4, R11, R12, R12, 8); }),
+      (Bytes{0x47, 0x8B, 0x9C, 0xA4, 0x08, 0x00, 0x00, 0x00}));
+}
+
+TEST(X86EncoderTest, IndexedStoresOfEveryWidth) {
+  // mov byte [r12 + r11*1 + 8], sil
+  EXPECT_EQ(
+      encode([](X86Assembler &A) { A.storeIndexed(1, R12, R11, 8, RSI); }),
+      (Bytes{0x43, 0x88, 0xB4, 0x1C, 0x08, 0x00, 0x00, 0x00}));
+  // mov byte [rbp + r12*1 + 8], cl
+  EXPECT_EQ(
+      encode([](X86Assembler &A) { A.storeIndexed(1, RBP, R12, 8, RCX); }),
+      (Bytes{0x42, 0x88, 0x8C, 0x25, 0x08, 0x00, 0x00, 0x00}));
+  // mov byte [rbx + r8*1 + 8], r9b
+  EXPECT_EQ(encode([](X86Assembler &A) { A.storeIndexed(1, RBX, R8, 8, R9); }),
+            (Bytes{0x46, 0x88, 0x8C, 0x03, 0x08, 0x00, 0x00, 0x00}));
+  // mov word [r13 + r8*2 + 8], di
+  EXPECT_EQ(
+      encode([](X86Assembler &A) { A.storeIndexed(2, R13, R8, 8, RDI); }),
+      (Bytes{0x66, 0x43, 0x89, 0xBC, 0x45, 0x08, 0x00, 0x00, 0x00}));
+  // mov dword [rbx + rsi*4 + 8], r14d
+  EXPECT_EQ(
+      encode([](X86Assembler &A) { A.storeIndexed(4, RBX, RSI, 8, R14); }),
+      (Bytes{0x44, 0x89, 0xB4, 0xB3, 0x08, 0x00, 0x00, 0x00}));
+  // mov qword [rbp + r13*8 + 8], rdx
+  EXPECT_EQ(
+      encode([](X86Assembler &A) { A.storeIndexed(8, RBP, R13, 8, RDX); }),
+      (Bytes{0x4A, 0x89, 0x94, 0xED, 0x08, 0x00, 0x00, 0x00}));
+}
+
+TEST(X86EncoderTest, LengthCompareAgainstMemory) {
+  // cmp esi, dword [r12 + 0]: R12 needs a SIB byte.
+  EXPECT_EQ(encode([](X86Assembler &A) { A.cmpRM32(RSI, R12, 0); }),
+            (Bytes{0x41, 0x3B, 0xB4, 0x24, 0x00, 0x00, 0x00, 0x00}));
+  // cmp r10d, dword [rbp + 0]
+  EXPECT_EQ(encode([](X86Assembler &A) { A.cmpRM32(R10, RBP, 0); }),
+            (Bytes{0x44, 0x3B, 0x95, 0x00, 0x00, 0x00, 0x00}));
+}
+
+TEST(X86EncoderTest, DivisionFamily) {
+  EXPECT_EQ(encode([](X86Assembler &A) { A.idivR(false, RCX); }),
+            (Bytes{0xF7, 0xF9}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.idivR(true, RCX); }),
+            (Bytes{0x48, 0xF7, 0xF9}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.idivR(true, R9); }),
+            (Bytes{0x49, 0xF7, 0xF9}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.cdq(); }), (Bytes{0x99}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.cqo(); }), (Bytes{0x48, 0x99}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.cmpRImm8(false, RCX, -1); }),
+            (Bytes{0x83, 0xF9, 0xFF}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.cmpRImm8(true, R11, -1); }),
+            (Bytes{0x49, 0x83, 0xFB, 0xFF}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.testRR(false, RCX, RCX); }),
+            (Bytes{0x85, 0xC9}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.testRR(true, R8, R8); }),
+            (Bytes{0x4D, 0x85, 0xC0}));
+}
+
+TEST(X86EncoderTest, ScalarDoubleCompareAndTruncate) {
+  EXPECT_EQ(encode([](X86Assembler &A) { A.ucomisd(0, 1); }),
+            (Bytes{0x66, 0x0F, 0x2E, 0xC1}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.ucomisd(1, 0); }),
+            (Bytes{0x66, 0x0F, 0x2E, 0xC8}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.cvttsd2si32(RCX, 0); }),
+            (Bytes{0xF2, 0x0F, 0x2C, 0xC8}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.cvttsd2si32(R10, 1); }),
+            (Bytes{0xF2, 0x44, 0x0F, 0x2C, 0xD1}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.xorpd(1, 1); }),
+            (Bytes{0x66, 0x0F, 0x57, 0xC9}));
+  EXPECT_EQ(encode([](X86Assembler &A) {
+              A.cmpRImm32(false, RCX, INT32_MIN);
+            }),
+            (Bytes{0x81, 0xF9, 0x00, 0x00, 0x00, 0x80}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.movImm32(RCX, 0x7FFFFFFF); }),
+            (Bytes{0xB9, 0xFF, 0xFF, 0xFF, 0x7F}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.movImm32(R9, 0x80000000u); }),
+            (Bytes{0x41, 0xB9, 0x00, 0x00, 0x00, 0x80}));
+}
+
+TEST(X86EncoderTest, ByteRegisterSetccAndLogic) {
+  EXPECT_EQ(encode([](X86Assembler &A) { A.setcc(X86Cond::NP, RAX); }),
+            (Bytes{0x0F, 0x9B, 0xC0}));
+  // sil needs a bare REX, or the encoding would name dh.
+  EXPECT_EQ(encode([](X86Assembler &A) { A.setcc(X86Cond::P, RSI); }),
+            (Bytes{0x40, 0x0F, 0x9A, 0xC6}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.setcc(X86Cond::A, R8); }),
+            (Bytes{0x41, 0x0F, 0x97, 0xC0}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.andRR8(RCX, RAX); }),
+            (Bytes{0x20, 0xC1}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.orRR8(RCX, RAX); }),
+            (Bytes{0x08, 0xC1}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.andRR8(RDI, RSI); }),
+            (Bytes{0x40, 0x20, 0xF7}));
 }
 
 // --- Lowering ---------------------------------------------------------------
@@ -121,6 +262,37 @@ TEST(LoweringTest, ConversionsBecomeExplicitInstructions) {
   std::string Text = printMachineFunction(*MIR->Functions[0]);
   EXPECT_NE(Text.find("movsx16"), std::string::npos);
   EXPECT_NE(Text.find("movl"), std::string::npos);
+}
+
+TEST(LoweringTest, ArrayAccessIsInlineAndOnlyAllocationCalls) {
+  Module M("m");
+  Function *F = M.createFunction("main", Type::I64);
+  Reg N = F->addParam(Type::I64, "n");
+  IRBuilder Bld(F);
+  Bld.startBlock("entry");
+  Reg Arr = Bld.newArray(Type::I8, N, "arr");
+  Bld.arrayStore(Type::I8, Arr, N, Bld.constI64(1));
+  Reg V = Bld.arrayLoad(Type::I8, Arr, N, "v");
+  Reg Q = Bld.binop(Opcode::Div, Width::W64, V, Bld.arrayLen(Arr), "q");
+  Bld.ret(Q);
+
+  for (bool Wild : {true, false}) {
+    LoweringStats Stats;
+    LoweringOptions Opts;
+    Opts.CheckWildAddresses = Wild;
+    auto MIR = lowerModule(M, &Stats, Opts);
+    EXPECT_EQ(Stats.HelperCalls, 1u); // the newarray
+    std::string Text = printMachineFunction(*MIR->Functions[0]);
+    EXPECT_NE(Text.find(Wild ? "arraychk.wild" : "arraychk v"),
+              std::string::npos)
+        << Text;
+    EXPECT_NE(Text.find("stelem.i8"), std::string::npos) << Text;
+    EXPECT_NE(Text.find("ldelem.i8"), std::string::npos) << Text;
+    EXPECT_NE(Text.find("arraylen"), std::string::npos) << Text;
+    EXPECT_NE(Text.find("idiv.w64"), std::string::npos) << Text;
+    // Unchecked accesses index with a zero-extended copy of the index.
+    EXPECT_EQ(Text.find("movl") != std::string::npos, !Wild) << Text;
+  }
 }
 
 // --- Live intervals ---------------------------------------------------------
@@ -394,6 +566,46 @@ TEST(MachineVerifierTest, RejectsReservedRegisters) {
   EXPECT_NE(verifyMachineFunction(MF), "");
 }
 
+/// An allocated `main(arr, idx)` whose body is one i32 element load.
+std::unique_ptr<MModule> allocatedElementLoad(Module &M) {
+  Function *F = M.createFunction("main", Type::I64);
+  Reg Arr = F->addParam(Type::ArrayRef, "arr");
+  Reg Index = F->addParam(Type::I64, "idx");
+  IRBuilder Bld(F);
+  Bld.startBlock("entry");
+  Bld.ret(Bld.arrayLoad(Type::I32, Arr, Index, "v"));
+  auto MIR = lowerModule(M);
+  allocateRegisters(*MIR->Functions[0]);
+  return MIR;
+}
+
+MInst &firstOf(MFunction &MF, MOp Op) {
+  for (auto &B : MF.Blocks)
+    for (MInst &I : B->Insts)
+      if (I.Op == Op)
+        return I;
+  throw std::logic_error("no such instruction");
+}
+
+TEST(MachineVerifierTest, RejectsWrongOperandCount) {
+  Module M("m");
+  auto MIR = allocatedElementLoad(M);
+  MFunction &MF = *MIR->Functions[0];
+  ASSERT_EQ(verifyMachineFunction(MF), "");
+  firstOf(MF, MOp::LoadElem).Uses.pop_back();
+  EXPECT_NE(verifyMachineFunction(MF).find("1 uses, expected 2"),
+            std::string::npos);
+}
+
+TEST(MachineVerifierTest, RejectsRcxOutsideAStore) {
+  // The check's wild-address test clobbers RCX, so RCX may not feed it.
+  Module M("m");
+  auto MIR = allocatedElementLoad(M);
+  MFunction &MF = *MIR->Functions[0];
+  firstOf(MF, MOp::ArrayCheck).Uses[1] = RCX;
+  EXPECT_NE(verifyMachineFunction(MF).find("rcx"), std::string::npos);
+}
+
 // --- Native execution: arithmetic parity ------------------------------------
 
 TEST(NativeTest, AddW32ZeroExtendsLikeTheHardware) {
@@ -569,6 +781,302 @@ TEST(NativeTest, OutOfBoundsTrapsIdentically) {
   expectNativeMatchesInterp(M, {static_cast<uint64_t>(-1)});
 }
 
+TEST(NativeTest, EveryElementWidthRoundTripsWithoutTouchingNeighbours) {
+  // a[1] = all ones, then a[0] + a[1] + a[2]: only the stored element's
+  // own bytes change, and the load zero-extends at the element's width.
+  for (Type Elem : {Type::I8, Type::I16, Type::U16, Type::I32, Type::I64}) {
+    Module M("m");
+    Function *F = M.createFunction("main", Type::I64);
+    IRBuilder Bld(F);
+    Bld.startBlock("entry");
+    Reg Arr = Bld.newArray(Elem, Bld.constI64(3), "arr");
+    Reg Zero = Bld.constI64(0);
+    Reg One = Bld.constI64(1);
+    Reg Two = Bld.constI64(2);
+    Bld.arrayStore(Elem, Arr, One, Bld.constI64(-1));
+    Reg Sum = Bld.add64(Bld.arrayLoad(Elem, Arr, Zero),
+                        Bld.arrayLoad(Elem, Arr, One), "s");
+    Bld.ret(Bld.add64(Sum, Bld.arrayLoad(Elem, Arr, Two), "t"));
+    expectNativeMatchesInterp(M);
+    expectNativeMatchesInterp(M, {}, everythingSpilled());
+  }
+}
+
+TEST(NativeTest, StoreWithEveryOperandSpilledUsesThreeScratches) {
+  // The store's array, index and value all come from spill slots, so the
+  // rewriter hands out RAX, RDX and RCX; the check before it still needs
+  // RCX for the wild-address test.
+  Module M("m");
+  Function *F = M.createFunction("main", Type::I64);
+  Reg N = F->addParam(Type::I64, "n");
+  IRBuilder Bld(F);
+  BasicBlock *Entry = Bld.startBlock("entry");
+  BasicBlock *Header = F->createBlock("header");
+  BasicBlock *Body = F->createBlock("body");
+  BasicBlock *Exit = F->createBlock("exit");
+  Reg I = F->newReg(Type::I32, "i");
+  Reg Sum = F->newReg(Type::I64, "sum");
+  Bld.setBlock(Entry);
+  Reg Arr = Bld.newArray(Type::I32, N, "arr");
+  Bld.constTo(I, 0);
+  Bld.constTo(Sum, 0);
+  Bld.jmp(Header);
+  Bld.setBlock(Header);
+  Reg Cond = Bld.cmp32(CmpPred::SLT, I, Bld.arrayLen(Arr), "cond");
+  Bld.br(Cond, Body, Exit);
+  Bld.setBlock(Body);
+  Reg V = Bld.mul32(I, Bld.constI32(7), "v");
+  Bld.arrayStore(Type::I32, Arr, I, V);
+  Reg Back = Bld.arrayLoad(Type::I32, Arr, I, "back");
+  Bld.binopTo(Sum, Opcode::Add, Width::W64, Sum, Back);
+  Bld.binopTo(I, Opcode::Add, Width::W32, I, Bld.constI32(1));
+  Bld.jmp(Header);
+  Bld.setBlock(Exit);
+  Bld.ret(Sum);
+
+  expectNativeMatchesInterp(M, {40}, everythingSpilled());
+
+  auto MIR = lowerModule(M);
+  MFunction &MF = *MIR->Functions[0];
+  RegAllocOptions None;
+  None.MaxCalleeSaved = 0;
+  None.MaxCallerSaved = 0;
+  RegAllocResult RA = allocateRegisters(MF, None);
+  EXPECT_EQ(verifyMachineFunction(MF, &RA.Intervals), "");
+  bool SawThreeScratchStore = false;
+  for (const auto &B : MF.Blocks)
+    for (const MInst &MI : B->Insts)
+      if (MI.Op == MOp::StoreElem && MI.Uses[0] == RAX &&
+          MI.Uses[1] == RDX && MI.Uses[2] == RCX)
+        SawThreeScratchStore = true;
+  EXPECT_TRUE(SawThreeScratchStore) << printMachineFunction(MF);
+}
+
+TEST(NativeTest, WildIndexTrapsOnlyWhenChecked) {
+  // The index register holds 2^32 + 3: its low half passes the bounds
+  // check, but as a 64-bit address index it points far past the array.
+  Module M("m");
+  Function *F = M.createFunction("main", Type::I64);
+  Reg Index = F->addParam(Type::I64, "idx");
+  IRBuilder Bld(F);
+  Bld.startBlock("entry");
+  Reg Arr = Bld.newArray(Type::I64, Bld.constI64(8), "arr");
+  Bld.arrayStore(Type::I64, Arr, Bld.constI64(3), Bld.constI64(42));
+  Bld.ret(Bld.arrayLoad(Type::I64, Arr, Index, "v"));
+  uint64_t Wild = (uint64_t(1) << 32) + 3;
+  expectNativeMatchesInterp(M, {Wild}); // WildAddress on both engines.
+
+  // Unchecked, both engines index with the low half and read a[3].
+  NativeOptions Unchecked;
+  Unchecked.CheckWildAddresses = false;
+  expectNativeMatchesInterp(M, {Wild}, Unchecked);
+  if (NativeModule::hostSupported()) {
+    auto NM = NativeModule::compile(M, Unchecked);
+    ASSERT_NE(NM, nullptr);
+    EXPECT_EQ(NM->run("main", {Wild}).ReturnValue, 42u);
+  }
+}
+
+TEST(NativeTest, ArrayRefsCrossTheEntryBoundaryAsHandles) {
+  // A returned array comes back as the interpreter's handle number (the
+  // second allocation is handle 2); an arrayref argument enters as null.
+  Module M("m");
+  Function *F = M.createFunction("main", Type::ArrayRef);
+  Reg In = F->addParam(Type::ArrayRef, "in");
+  Reg UseIn = F->addParam(Type::I64, "use_in");
+  IRBuilder Bld(F);
+  BasicBlock *Entry = Bld.startBlock("entry");
+  BasicBlock *Touch = F->createBlock("touch");
+  BasicBlock *Fresh = F->createBlock("fresh");
+  Bld.setBlock(Entry);
+  Bld.br(UseIn, Touch, Fresh);
+  Bld.setBlock(Touch);
+  Bld.arrayLen(In, "len");
+  Bld.ret(In);
+  Bld.setBlock(Fresh);
+  Bld.newArray(Type::I8, Bld.constI64(4), "first");
+  Bld.ret(Bld.newArray(Type::I16, Bld.constI64(4), "second"));
+
+  expectNativeMatchesInterp(M, {0, 0});
+  expectNativeMatchesInterp(M, {7, 1}); // arraylen of null on both.
+  if (NativeModule::hostSupported()) {
+    auto NM = NativeModule::compile(M);
+    ASSERT_NE(NM, nullptr);
+    EXPECT_EQ(NM->run("main", {0, 0}).ReturnValue, 2u);
+  }
+}
+
+TEST(NativeTest, DivRemEdgeCasesMatchAtBothWidths) {
+  const uint64_t Upper = 0xABCD000000000000ull; // ignored by W32 forms
+  const std::vector<std::pair<int64_t, int64_t>> Pairs = {
+      {7, 2},  {-7, 2},       {7, -2}, {-7, -2}, {INT32_MIN, -1},
+      {5, -1}, {INT64_MIN, -1}, {0, 3}, {9, 0}};
+  for (Opcode Op : {Opcode::Div, Opcode::Rem}) {
+    for (Width W : {Width::W32, Width::W64}) {
+      Module M("m");
+      Function *F = M.createFunction("main", Type::I64);
+      Reg A = F->addParam(Type::I64, "a");
+      Reg B = F->addParam(Type::I64, "b");
+      IRBuilder Bld(F);
+      Bld.startBlock("entry");
+      Bld.ret(Bld.binop(Op, W, A, B));
+      for (const auto &[X, Y] : Pairs) {
+        uint64_t UX = static_cast<uint64_t>(X), UY = static_cast<uint64_t>(Y);
+        if (W == Width::W32) {
+          UX = (UX & 0xFFFFFFFF) | Upper;
+          UY = (UY & 0xFFFFFFFF) | Upper;
+        }
+        expectNativeMatchesInterp(M, {UX, UY});
+        expectNativeMatchesInterp(M, {UX, UY}, everythingSpilled());
+      }
+    }
+  }
+}
+
+uint64_t bitsOf(double D) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &D, sizeof(Bits));
+  return Bits;
+}
+
+TEST(NativeTest, FCmpEveryPredicateOnOrderedAndUnorderedPairs) {
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<double, double>> Pairs = {
+      {1.0, 2.0}, {2.0, 1.0}, {1.5, 1.5}, {-0.0, 0.0},
+      {NaN, 1.0}, {1.0, NaN}, {NaN, NaN}};
+  for (CmpPred Pred :
+       {CmpPred::EQ, CmpPred::NE, CmpPred::SLT, CmpPred::SLE, CmpPred::SGT,
+        CmpPred::SGE, CmpPred::ULT, CmpPred::ULE, CmpPred::UGT,
+        CmpPred::UGE}) {
+    Module M("m");
+    Function *F = M.createFunction("main", Type::I64);
+    Reg A = F->addParam(Type::F64, "a");
+    Reg B = F->addParam(Type::F64, "b");
+    IRBuilder Bld(F);
+    Bld.startBlock("entry");
+    Bld.ret(Bld.fcmp(Pred, A, B));
+    for (const auto &[X, Y] : Pairs) {
+      expectNativeMatchesInterp(M, {bitsOf(X), bitsOf(Y)});
+      expectNativeMatchesInterp(M, {bitsOf(X), bitsOf(Y)},
+                                everythingSpilled());
+    }
+  }
+}
+
+TEST(NativeTest, D2ISaturatesAndMapsNaNToZero) {
+  Module M("m");
+  Function *F = M.createFunction("main", Type::I64);
+  Reg A = F->addParam(Type::F64, "a");
+  IRBuilder Bld(F);
+  Bld.startBlock("entry");
+  Bld.ret(Bld.d2i(A));
+  const double Inf = std::numeric_limits<double>::infinity();
+  for (double D : {3.7, -3.7, -0.0, 2147483647.9, 2147483648.0, 1e18, Inf,
+                   -2147483648.9, -2147483649.0, -1e18, -Inf,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    expectNativeMatchesInterp(M, {bitsOf(D)});
+    expectNativeMatchesInterp(M, {bitsOf(D)}, everythingSpilled());
+  }
+}
+
+/// Expects \p M to trap with \p Kind on both engines, with the native
+/// message equal to the interpreter's word for word.
+void expectTrapMessageParity(Module &M, const std::vector<uint64_t> &Args,
+                             TrapKind Kind) {
+  if (!NativeModule::hostSupported())
+    GTEST_SKIP() << "host cannot execute emitted x86-64 code";
+  ExecResult Want = Interpreter(M, x86MachineOptions()).run("main", Args);
+  auto NM = NativeModule::compile(M);
+  ASSERT_NE(NM, nullptr);
+  ExecResult Got = NM->run("main", Args);
+  EXPECT_EQ(Want.Trap, Kind);
+  EXPECT_EQ(Got.Trap, Kind);
+  EXPECT_FALSE(Want.TrapMessage.empty());
+  EXPECT_EQ(Got.TrapMessage, Want.TrapMessage);
+}
+
+TEST(TrapMessageTest, NullArrayLenAndNullAccessKeepTheirOwnMessages) {
+  for (bool Len : {true, false}) {
+    Module M("m");
+    Function *F = M.createFunction("main", Type::I64);
+    Reg Arr = F->addParam(Type::ArrayRef, "arr");
+    IRBuilder Bld(F);
+    Bld.startBlock("entry");
+    Bld.ret(Len ? Bld.arrayLen(Arr)
+                : Bld.arrayLoad(Type::I32, Arr, Bld.constI32(0)));
+    expectTrapMessageParity(M, {0}, TrapKind::NullArray);
+  }
+}
+
+TEST(TrapMessageTest, BoundsAndWildAddress) {
+  // The access sits in a callee, whose name the wild-address message
+  // carries.
+  Module M("m");
+  Function *Reader = M.createFunction("reader", Type::I64);
+  {
+    Reg Arr = Reader->addParam(Type::ArrayRef, "arr");
+    Reg Index = Reader->addParam(Type::I64, "idx");
+    IRBuilder Bld(Reader);
+    Bld.startBlock("entry");
+    Bld.ret(Bld.arrayLoad(Type::I16, Arr, Index, "v"));
+  }
+  Function *F = M.createFunction("main", Type::I64);
+  Reg Index = F->addParam(Type::I64, "idx");
+  IRBuilder Bld(F);
+  Bld.startBlock("entry");
+  Reg Arr = Bld.newArray(Type::I16, Bld.constI64(10), "arr");
+  Bld.ret(Bld.call(Reader, {Arr, Index}, "v"));
+  expectTrapMessageParity(M, {10}, TrapKind::BoundsCheck);
+  expectTrapMessageParity(M, {(uint64_t(1) << 32) + 3},
+                          TrapKind::WildAddress);
+}
+
+TEST(TrapMessageTest, NegativeSizeAndDivideByZero) {
+  Module Alloc("m");
+  {
+    Function *F = Alloc.createFunction("main", Type::I64);
+    Reg N = F->addParam(Type::I64, "n");
+    IRBuilder Bld(F);
+    Bld.startBlock("entry");
+    Bld.ret(Bld.arrayLen(Bld.newArray(Type::I32, N, "arr")));
+  }
+  expectTrapMessageParity(Alloc, {static_cast<uint64_t>(-3)},
+                          TrapKind::NegativeArraySize);
+
+  for (Opcode Op : {Opcode::Div, Opcode::Rem}) {
+    for (Width W : {Width::W32, Width::W64}) {
+      Module M("m");
+      Function *F = M.createFunction("main", Type::I64);
+      Reg A = F->addParam(Type::I64, "a");
+      Reg B = F->addParam(Type::I64, "b");
+      IRBuilder Bld(F);
+      Bld.startBlock("entry");
+      Bld.ret(Bld.binop(Op, W, A, B));
+      // For W32 only the zero low half of the divisor counts.
+      expectTrapMessageParity(M, {12, W == Width::W32 ? uint64_t(1) << 32 : 0},
+                              TrapKind::DivByZero);
+    }
+  }
+}
+
+TEST(TrapMessageTest, ExplicitTrapAndStackOverflow) {
+  Module M("m");
+  Function *F = M.createFunction("main", Type::I64);
+  Reg N = F->addParam(Type::I64, "n");
+  IRBuilder Bld(F);
+  BasicBlock *Entry = Bld.startBlock("entry");
+  BasicBlock *Stop = F->createBlock("stop");
+  BasicBlock *Rec = F->createBlock("rec");
+  Bld.setBlock(Entry);
+  Bld.br(N, Rec, Stop);
+  Bld.setBlock(Stop);
+  Bld.trap();
+  Bld.setBlock(Rec);
+  Bld.ret(Bld.call(F, {N}, "r"));
+  expectTrapMessageParity(M, {0}, TrapKind::ExplicitTrap);
+  expectTrapMessageParity(M, {1}, TrapKind::StackOverflow);
+}
+
 TEST(NativeTest, ExplicitTrapPropagates) {
   Module M("m");
   Function *F = M.createFunction("main", Type::I64);
@@ -700,26 +1208,5 @@ INSTANTIATE_TEST_SUITE_P(Corpus, CorpusNativeParity,
                                            "generated_medium",
                                            "generated_large",
                                            "reduced_call_at_block_head"));
-
-// --- Cycle model ------------------------------------------------------------
-
-TEST(CycleModelTest, WeighsLoopsHotterAndCountsSpills) {
-  auto M = manyLiveValuesModule(10);
-  auto MIR = lowerModule(*M);
-  MFunction &MF = *MIR->Functions[0];
-  RegAllocOptions Tight;
-  Tight.MaxCalleeSaved = 1;
-  Tight.MaxCallerSaved = 1;
-  allocateRegisters(MF, Tight);
-
-  CycleEstimate E = estimateFunctionCycles(MF, TargetInfo::x86_64());
-  EXPECT_GT(E.Cycles, 0.0);
-  EXPECT_GT(E.SpillCycles, 0.0); // The tight pool forced spill traffic.
-  EXPECT_GT(E.Insts, 0u);
-  EXPECT_LE(E.SpillCycles, E.Cycles);
-
-  CycleEstimate Module = estimateModuleCycles(*MIR, TargetInfo::x86_64());
-  EXPECT_DOUBLE_EQ(Module.Cycles, E.Cycles);
-}
 
 } // namespace
