@@ -7,9 +7,7 @@
 //
 //===-----------------------------------------------------------------------------===//
 
-#include "analysis/CFG.h"
-#include "analysis/UseDefChains.h"
-#include "analysis/ValueRange.h"
+#include "analysis/AnalysisCache.h"
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
 #include "sxe/Conversion64.h"
@@ -111,7 +109,8 @@ void BM_ValueRange(benchmark::State &State) {
   CFG Cfg(F);
   UseDefChains Chains(F, Cfg);
   for (auto _ : State) {
-    ValueRange Ranges(F, Chains, TargetInfo::ia64(), 0x7FFFFFFF);
+    ValueRange Ranges(F, Chains, Cfg, TargetInfo::ia64(), 0x7FFFFFFF,
+                      /*UseGuards=*/true);
     benchmark::DoNotOptimize(&Ranges);
   }
   State.SetItemsProcessed(State.iterations() * F.countInstructions());
@@ -125,7 +124,8 @@ void BM_FirstAlgorithm(benchmark::State &State) {
     auto Clone = cloneModule(*Pristine);
     Function &F = *Clone->findFunction("synth");
     State.ResumeTiming();
-    runFirstAlgorithm(F, TargetInfo::ia64());
+    AnalysisCache Cache(F);
+    runFirstAlgorithm(F, TargetInfo::ia64(), Cache);
   }
 }
 BENCHMARK(BM_FirstAlgorithm)->Arg(4)->Arg(16)->Arg(64);
@@ -137,12 +137,18 @@ void BM_EliminationUdDu(benchmark::State &State) {
     auto Clone = cloneModule(*Pristine);
     Function &F = *Clone->findFunction("synth");
     insertDummyExtends(F);
-    std::vector<Instruction *> Order = extensionsInReverseDFS(F);
+    std::vector<Instruction *> Order;
+    {
+      AnalysisCache OrderCache(F);
+      Order = extensionsInReverseDFS(OrderCache);
+    }
     State.ResumeTiming();
+    // A fresh cache inside the timed region: the phase builds its CFG,
+    // chains and ranges, as a lone call always has.
+    AnalysisCache Cache(F, &TargetInfo::ia64());
     EliminationOptions Options;
-    Options.Target = &TargetInfo::ia64();
     Options.EnableArrayTheorems = true;
-    runElimination(F, Order, Options);
+    runElimination(F, Order, Cache, Options);
   }
 }
 BENCHMARK(BM_EliminationUdDu)->Arg(4)->Arg(16)->Arg(64);
@@ -154,7 +160,8 @@ void BM_SimpleInsertion(benchmark::State &State) {
     auto Clone = cloneModule(*Pristine);
     Function &F = *Clone->findFunction("synth");
     State.ResumeTiming();
-    runSimpleInsertion(F, TargetInfo::ia64());
+    AnalysisCache Cache(F);
+    runSimpleInsertion(F, TargetInfo::ia64(), Cache);
   }
 }
 BENCHMARK(BM_SimpleInsertion);
@@ -166,7 +173,8 @@ void BM_PDEInsertion(benchmark::State &State) {
     auto Clone = cloneModule(*Pristine);
     Function &F = *Clone->findFunction("synth");
     State.ResumeTiming();
-    runPDEInsertion(F, TargetInfo::ia64());
+    AnalysisCache Cache(F);
+    runPDEInsertion(F, TargetInfo::ia64(), Cache);
   }
 }
 BENCHMARK(BM_PDEInsertion);

@@ -85,8 +85,8 @@ ValueRange &AnalysisCache::ranges() {
     reportFatalError("AnalysisCache::ranges() needs a target");
   UseDefChains &C = chains(); // Validates the tier and pins the snapshot.
   if (!Ranges) {
-    Ranges = std::make_unique<ValueRange>(F, C, *Target, MaxArrayLen,
-                                          UseGuards, &cfg());
+    Ranges = std::make_unique<ValueRange>(F, C, cfg(), *Target, MaxArrayLen,
+                                          UseGuards);
     ++Stats.RangeBuilds;
   } else {
     ++Stats.RangeHits;

@@ -73,11 +73,11 @@ struct AnalysisCacheStats {
 
 /// Lazily built, epoch-validated analyses for one function.
 ///
-/// The configuration parameters (target, profile, array-length limit,
-/// guard toggle) are fixed at construction and must match what the
-/// consumers would have used to build their own copies — the pass
-/// pipeline constructs the cache from the same PipelineConfig it hands
-/// the passes, which guarantees that.
+/// Every transform reads its analyses through a cache; none builds a
+/// private copy. The analysis configuration (target, profile,
+/// array-length limit, guard toggle) is therefore fixed here, once, at
+/// construction — the pass pipeline builds the cache from its
+/// PipelineConfig (PassContext::cache).
 class AnalysisCache {
 public:
   explicit AnalysisCache(Function &F, const TargetInfo *Target = nullptr,
@@ -91,6 +91,9 @@ public:
   AnalysisCache &operator=(const AnalysisCache &) = delete;
 
   Function &function() const { return F; }
+  /// The target ranges() and the eliminator reason about; may be null for
+  /// consumers that need only target-independent analyses.
+  const TargetInfo *target() const { return Target; }
 
   // Block tier — valid while cfgEpoch() is unchanged.
   const CFG &cfg();

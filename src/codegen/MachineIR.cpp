@@ -192,10 +192,3 @@ std::string sxe::printMachineFunction(const MFunction &MF) {
   }
   return OS.str();
 }
-
-std::string sxe::printMachineModule(const MModule &MM) {
-  std::string Text;
-  for (const auto &F : MM.Functions)
-    Text += printMachineFunction(*F);
-  return Text;
-}

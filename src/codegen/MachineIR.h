@@ -327,9 +327,6 @@ struct MModule {
 /// Renders \p MF as text (for tests and --dump-mir debugging).
 std::string printMachineFunction(const MFunction &MF);
 
-/// Renders every function of \p MM.
-std::string printMachineModule(const MModule &MM);
-
 } // namespace sxe
 
 #endif // SXE_CODEGEN_MACHINEIR_H

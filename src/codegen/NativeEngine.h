@@ -43,9 +43,6 @@
 
 namespace sxe {
 
-class MetricsRegistry;
-class PassStats;
-
 /// Compilation and execution limits; the execution limits mirror
 /// InterpOptions so differential runs configure both engines identically.
 struct NativeOptions {
@@ -55,8 +52,6 @@ struct NativeOptions {
   uint64_t MaxHeapElements = 1ULL << 28;
   bool CheckWildAddresses = true;
   RegAllocOptions RegAlloc;
-  MetricsRegistry *Metrics = nullptr; ///< Optional codegen/exec counters.
-  PassStats *Stats = nullptr;         ///< Optional "codegen" pseudo-pass.
 };
 
 /// What one compile produced (test/bench introspection).
@@ -96,8 +91,6 @@ public:
                  const std::vector<uint64_t> &Args = {});
 
   const NativeCompileInfo &info() const;
-  /// The allocated machine IR (tests print and inspect it).
-  const MModule &machineModule() const;
 
 private:
   NativeModule();

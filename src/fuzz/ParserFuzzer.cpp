@@ -114,23 +114,6 @@ std::vector<std::string> buildValidPool(uint64_t FirstSeed) {
 
 } // namespace
 
-std::string sxe::makeParserFuzzInput(RNG &R,
-                                     const ParserFuzzOptions &Options) {
-  // The valid pool is rebuilt per call here; runParserFuzz caches it.
-  size_t Len = 1 + R.nextBelow(Options.MaxBytes);
-  switch (R.nextBelow(Options.MutateValid ? 4 : 3)) {
-  case 0:
-    return randomBytes(R, Len);
-  case 1:
-    return printableNoise(R, Len);
-  case 2:
-    return tokenSoup(R, Len);
-  default:
-    return mutateText(R, buildValidPool(Options.ValidPoolSeed),
-                      Options.MaxBytes);
-  }
-}
-
 bool sxe::runParserFuzz(uint64_t Seed, uint64_t Inputs,
                         const ParserFuzzOptions &Options,
                         ParserFuzzStats *Stats) {

@@ -45,10 +45,6 @@ struct ParserFuzzStats {
   uint64_t Verified = 0; ///< Accepted modules that also passed the verifier.
 };
 
-/// Produces one fuzz input using \p R (exposed so tests can replay a
-/// specific input mode deterministically).
-std::string makeParserFuzzInput(RNG &R, const ParserFuzzOptions &Options);
-
 /// Runs \p Inputs generated inputs through parseModule. Returns true if
 /// every input completed (the process not crashing is the real
 /// assertion); accepted modules must also survive verification and

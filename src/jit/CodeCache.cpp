@@ -101,11 +101,3 @@ CodeCacheStats CodeCache::stats() const {
   }
   return Out;
 }
-
-void CodeCache::clear() {
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mu);
-    S->Map.clear();
-    S->Lru.clear();
-  }
-}

@@ -84,9 +84,6 @@ public:
 
   CodeCacheStats stats() const;
 
-  /// Drops every entry (counters survive).
-  void clear();
-
 private:
   struct Shard {
     mutable std::mutex Mu;

@@ -62,11 +62,6 @@ void CompileQueue::close() {
   NotEmpty.notify_all();
 }
 
-bool CompileQueue::closed() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Closed;
-}
-
 size_t CompileQueue::size() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Heap.size();

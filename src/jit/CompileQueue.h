@@ -59,7 +59,6 @@ public:
   /// drain through pop().
   void close();
 
-  bool closed() const;
   size_t size() const;
 
 private:

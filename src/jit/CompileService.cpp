@@ -88,17 +88,8 @@ void CompileService::workerLoop(unsigned WorkerIndex) {
     CompileResult Result = compileOne(Job->Request);
     if (Job->EnqueueNanos && PopNanos > Job->EnqueueNanos)
       Result.QueueWaitNanos = PopNanos - Job->EnqueueNanos;
-    finish(*Job, std::move(Result));
+    Job->Promise.set_value(std::move(Result));
   }
-}
-
-void CompileService::finish(QueuedCompile &Job, CompileResult Result) {
-  Job.Promise.set_value(std::move(Result));
-  {
-    std::lock_guard<std::mutex> Lock(PendingMu);
-    --Pending;
-  }
-  AllDone.notify_all();
 }
 
 CompileResult CompileService::compileOne(CompileRequest &Request) {
@@ -198,7 +189,7 @@ CompileResult CompileService::compileOne(CompileRequest &Request) {
     }
   }
 
-  PassManagerOptions PMOpts = Options.PM;
+  PassManagerOptions PMOpts;
   if (Options.Trace)
     PMOpts.Trace = Options.Trace;
   if (Options.CollectRemarks)
@@ -275,10 +266,6 @@ std::future<CompileResult> CompileService::enqueue(CompileRequest Request) {
     return Future;
   }
 
-  {
-    std::lock_guard<std::mutex> Lock(PendingMu);
-    ++Pending;
-  }
   Job->EnqueueNanos = wallNowNanos();
   if (Queue.push(Job)) {
     if (Metrics.QueueDepth)
@@ -292,7 +279,7 @@ std::future<CompileResult> CompileService::enqueue(CompileRequest Request) {
     Refused.Name = Job->Request.Name;
     Refused.Rejected = true;
     Refused.Error = "compile service is shut down";
-    finish(*Job, std::move(Refused));
+    Job->Promise.set_value(std::move(Refused));
   }
   return Future;
 }
@@ -304,14 +291,9 @@ void CompileService::countRejected() {
   ++Counters.Rejected;
 }
 
-void CompileService::drain() {
-  std::unique_lock<std::mutex> Lock(PendingMu);
-  AllDone.wait(Lock, [this] { return Pending == 0; });
-}
-
 void CompileService::shutdown() {
   {
-    std::lock_guard<std::mutex> Lock(PendingMu);
+    std::lock_guard<std::mutex> Lock(ShutdownMu);
     if (ShutDown)
       return;
     ShutDown = true;

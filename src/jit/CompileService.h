@@ -38,9 +38,7 @@
 #include "obs/EventLog.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "pm/PassManager.h"
 
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <mutex>
@@ -61,10 +59,6 @@ struct CompileServiceOptions {
   /// hit is promoted into Cache, a fresh compile is written through to
   /// both tiers. Null disables the tier.
   PersistentCache *Persistent = nullptr;
-  /// Instrumentation options threaded into every pipeline run. Snapshot
-  /// capture/dump directories are shared across workers; leave them off
-  /// for concurrent batches.
-  PassManagerOptions PM;
   /// Optional trace collector (not owned; thread-safe). Workers label
   /// their tracks "worker-N" and emit queue-wait / cache-probe / compile
   /// spans per request; the collector is also threaded into every
@@ -117,9 +111,6 @@ public:
   /// holds an Ok=false result without being queued.
   std::future<CompileResult> enqueue(CompileRequest Request);
 
-  /// Blocks until every request enqueued so far has completed.
-  void drain();
-
   /// Stops accepting work, finishes what is queued, joins the workers.
   /// Idempotent; the destructor calls it.
   void shutdown();
@@ -144,7 +135,6 @@ public:
 private:
   void workerLoop(unsigned WorkerIndex);
   CompileResult compileOne(CompileRequest &Request);
-  void finish(QueuedCompile &Job, CompileResult Result);
 
   /// Resolved metric handles (null when Options.Metrics is null);
   /// registered once at construction so the compile path never takes the
@@ -169,9 +159,7 @@ private:
   mutable std::mutex StatsMu;
   CompileServiceStats Counters;
 
-  std::mutex PendingMu;
-  std::condition_variable AllDone;
-  uint64_t Pending = 0;
+  std::mutex ShutdownMu;
   bool ShutDown = false;
 };
 

@@ -3,11 +3,11 @@
 #include "jit/PersistentCache.h"
 
 #include "obs/Remarks.h"
+#include "obs/TraceContext.h"
 #include "support/IRHash.h"
 #include "support/Json.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -23,13 +23,6 @@ namespace fs = std::filesystem;
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-std::string hex16(uint64_t Value) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(Value));
-  return Buf;
-}
 
 /// Canonical artifact digest: FNV-1a over every field a hit must
 /// reproduce. Recomputed from the decoded artifact on load, so any bit
@@ -77,21 +70,11 @@ std::string sxe::encodePersistentEntry(const std::string &Key,
   J.beginObject();
   J.keyValue("schema", kPCacheEntrySchema);
   J.keyValue("key", Key);
-  J.keyValue("checksum", hex16(checksumCompiledCode(Code)));
-  J.keyValue("ir_hash", hex16(Code.InputIRHash));
+  J.keyValue("checksum", traceIdHex(checksumCompiledCode(Code)));
+  J.keyValue("ir_hash", traceIdHex(Code.InputIRHash));
   J.keyValue("ir", Code.IRText);
   J.key("stats");
-  J.beginArray();
-  for (const StatEntry &E : Code.Stats.entries()) {
-    J.beginObject();
-    J.keyValue("pass", E.Pass);
-    J.keyValue("name", E.Name);
-    J.keyValue("value", E.Value);
-    if (E.IsFlag)
-      J.keyValue("flag", true);
-    J.endObject();
-  }
-  J.endArray();
+  encodeStatEntries(J, Code.Stats.entries());
   const PipelineStats &L = Code.Legacy;
   J.key("legacy");
   J.beginObject();
@@ -152,20 +135,16 @@ bool sxe::decodePersistentEntry(const std::string &Text,
       std::strtoull(V.stringField("ir_hash").c_str(), nullptr, 16);
 
   const JsonValue *Stats = V.find("stats");
-  if (!Stats || !Stats->isArray()) {
+  if (!Stats) {
     Error = "missing stats array";
     return false;
   }
-  for (const JsonValue &E : Stats->array()) {
-    std::string Pass = E.stringField("pass");
-    std::string Name = E.stringField("name");
-    uint64_t Value = numField(E, "value");
-    const JsonValue *Flag = E.find("flag");
-    if (Flag && Flag->isBool() && Flag->boolValue())
-      Out.Stats.flag(Pass, Name) = Value;
-    else
-      Out.Stats.counter(Pass, Name) = Value;
-  }
+  std::vector<StatEntry> Entries;
+  if (!decodeStatEntries(*Stats, Entries, Error))
+    return false;
+  for (const StatEntry &E : Entries)
+    (E.IsFlag ? Out.Stats.flag(E.Pass, E.Name)
+              : Out.Stats.counter(E.Pass, E.Name)) = E.Value;
 
   const JsonValue *Legacy = V.find("legacy");
   if (!Legacy || !Legacy->isObject()) {
@@ -265,7 +244,7 @@ bool writeFileAtomic(const std::string &Path, const std::string &Text) {
 std::string fileNameForKey(const std::string &Key) {
   StableHasher H;
   H.mix(Key);
-  return hex16(H.result()) + ".json";
+  return traceIdHex(H.result()) + ".json";
 }
 
 } // namespace

@@ -50,7 +50,9 @@ struct TraceContext {
 uint64_t mintTraceId();
 
 /// Renders \p TraceId as the canonical 16-digit lowercase hex form used
-/// on the wire and in artifacts ("00c0ffee...").
+/// on the wire and in artifacts ("00c0ffee..."). The one formatter for
+/// every 64-bit id the project prints this way: trace ids, IR hashes and
+/// persistent-cache checksums and file names.
 std::string traceIdHex(uint64_t TraceId);
 
 /// Parses the canonical hex form (1-16 hex digits). Returns false on

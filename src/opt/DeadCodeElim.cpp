@@ -105,14 +105,9 @@ unsigned sweepOnce(Function &F, AnalysisCache &Cache) {
 
 } // namespace
 
-unsigned sxe::runDeadCodeElim(Function &F, AnalysisCache *Cache) {
-  std::unique_ptr<AnalysisCache> Own;
-  if (!Cache) {
-    Own = std::make_unique<AnalysisCache>(F);
-    Cache = Own.get();
-  }
+unsigned sxe::runDeadCodeElim(Function &F, AnalysisCache &Cache) {
   unsigned Total = 0;
-  while (unsigned Removed = sweepOnce(F, *Cache))
+  while (unsigned Removed = sweepOnce(F, Cache))
     Total += Removed;
   return Total;
 }

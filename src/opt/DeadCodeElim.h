@@ -24,9 +24,9 @@ namespace sxe {
 class AnalysisCache;
 
 /// Removes dead pure definitions from \p F until a fixpoint. Returns the
-/// number of instructions removed. \p Cache, when given, supplies the CFG
-/// (removal preserves the block graph, so sweeps after the first hit it).
-unsigned runDeadCodeElim(Function &F, AnalysisCache *Cache = nullptr);
+/// number of instructions removed. \p Cache supplies the CFG (removal
+/// preserves the block graph, so sweeps after the first hit it).
+unsigned runDeadCodeElim(Function &F, AnalysisCache &Cache);
 
 } // namespace sxe
 

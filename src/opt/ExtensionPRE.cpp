@@ -182,16 +182,11 @@ unsigned runLoopHoisting(Function &F, AnalysisCache &Cache) {
 } // namespace
 
 unsigned sxe::runExtensionPRE(Function &F, const TargetInfo &Target,
-                              AnalysisCache *Cache) {
-  std::unique_ptr<AnalysisCache> Own;
-  if (!Cache) {
-    Own = std::make_unique<AnalysisCache>(F);
-    Cache = Own.get();
-  }
+                              AnalysisCache &Cache) {
   unsigned Total = 0;
   // Hoisting moves instructions between existing blocks, so the CSE phase
   // reuses the same cached CFG.
-  Total += runLoopHoisting(F, *Cache);
-  Total += runAvailabilityCSE(F, Target, *Cache);
+  Total += runLoopHoisting(F, Cache);
+  Total += runAvailabilityCSE(F, Target, Cache);
   return Total;
 }

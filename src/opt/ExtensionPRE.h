@@ -36,11 +36,11 @@ namespace sxe {
 class AnalysisCache;
 
 /// Runs extension CSE + hoisting on \p F. Returns the number of extension
-/// instructions removed or moved. \p Cache, when given, supplies the CFG,
-/// dominators, and loops (hoisting preserves the block graph, so the CSE
-/// phase reuses its CFG).
+/// instructions removed or moved. \p Cache supplies the CFG, dominators,
+/// and loops (hoisting preserves the block graph, so the CSE phase reuses
+/// its CFG).
 unsigned runExtensionPRE(Function &F, const TargetInfo &Target,
-                         AnalysisCache *Cache = nullptr);
+                         AnalysisCache &Cache);
 
 } // namespace sxe
 

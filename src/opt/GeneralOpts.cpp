@@ -11,12 +11,7 @@
 using namespace sxe;
 
 unsigned sxe::runGeneralOpts(Function &F, const TargetInfo &Target,
-                             AnalysisCache *Cache) {
-  std::unique_ptr<AnalysisCache> Own;
-  if (!Cache) {
-    Own = std::make_unique<AnalysisCache>(F);
-    Cache = Own.get();
-  }
+                             AnalysisCache &Cache) {
   unsigned Total = 0;
   // Two rounds are enough in practice: folding exposes dead code, DCE
   // exposes further folding opportunities once.

@@ -23,10 +23,10 @@ namespace sxe {
 class AnalysisCache;
 
 /// Runs the step-2 optimizations over \p F. Returns the total number of
-/// rewrites/removals performed. \p Cache, when given, is shared by every
-/// constituent pass so analyses rebuild only when the IR actually moved.
+/// rewrites/removals performed. \p Cache is shared by every constituent
+/// pass so analyses rebuild only when the IR actually moved.
 unsigned runGeneralOpts(Function &F, const TargetInfo &Target,
-                        AnalysisCache *Cache = nullptr);
+                        AnalysisCache &Cache);
 
 } // namespace sxe
 

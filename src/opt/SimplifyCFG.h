@@ -25,11 +25,10 @@ namespace sxe {
 
 class AnalysisCache;
 
-/// Simplifies \p F's CFG. Returns the number of blocks removed. When the
-/// caller passes its shared \p Cache the cleanup rounds reuse its CFG,
-/// rebuilding only when a round actually erased or merged blocks;
-/// otherwise a private cache is used.
-unsigned runSimplifyCFG(Function &F, AnalysisCache *Cache = nullptr);
+/// Simplifies \p F's CFG. Returns the number of blocks removed. The
+/// cleanup rounds reuse \p Cache's CFG, rebuilding only when a round
+/// actually erased or merged blocks.
+unsigned runSimplifyCFG(Function &F, AnalysisCache &Cache);
 
 } // namespace sxe
 

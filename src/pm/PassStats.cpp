@@ -2,6 +2,8 @@
 
 #include "pm/PassStats.h"
 
+#include "support/Json.h"
+
 using namespace sxe;
 
 StatEntry &PassStats::entry(const std::string &Pass,
@@ -32,15 +34,6 @@ uint64_t PassStats::value(const std::string &Pass,
   return It == Index.end() ? 0 : Entries[It->second].Value;
 }
 
-std::vector<StatEntry>
-PassStats::entriesForPass(const std::string &Pass) const {
-  std::vector<StatEntry> Result;
-  for (const StatEntry &E : Entries)
-    if (E.Pass == Pass)
-      Result.push_back(E);
-  return Result;
-}
-
 uint64_t PassStats::total(const std::string &Name) const {
   uint64_t Sum = 0;
   for (const StatEntry &E : Entries)
@@ -61,4 +54,57 @@ void PassStats::merge(const PassStats &Other) {
       Mine.Value += E.Value;
     }
   }
+}
+
+namespace {
+
+template <typename EntryRange>
+void encodeEntries(JsonWriter &J, const EntryRange &Entries) {
+  J.beginArray();
+  for (const StatEntry &E : Entries) {
+    J.beginObject();
+    J.keyValue("pass", E.Pass);
+    J.keyValue("name", E.Name);
+    J.keyValue("value", E.Value);
+    if (E.IsFlag)
+      J.keyValue("flag", true);
+    J.endObject();
+  }
+  J.endArray();
+}
+
+} // namespace
+
+void sxe::encodeStatEntries(JsonWriter &J,
+                            const std::deque<StatEntry> &Entries) {
+  encodeEntries(J, Entries);
+}
+
+void sxe::encodeStatEntries(JsonWriter &J,
+                            const std::vector<StatEntry> &Entries) {
+  encodeEntries(J, Entries);
+}
+
+bool sxe::decodeStatEntries(const JsonValue &Array,
+                            std::vector<StatEntry> &Out, std::string &Error) {
+  if (!Array.isArray()) {
+    Error = "stats field is not an array";
+    return false;
+  }
+  for (const JsonValue &Item : Array.array()) {
+    if (!Item.isObject()) {
+      Error = "stats entry is not an object";
+      return false;
+    }
+    StatEntry Entry;
+    Entry.Pass = Item.stringField("pass");
+    Entry.Name = Item.stringField("name");
+    const JsonValue *Value = Item.find("value");
+    if (Value && Value->isNumber() && Value->numberValue() > 0)
+      Entry.Value = static_cast<uint64_t>(Value->numberValue());
+    const JsonValue *Flag = Item.find("flag");
+    Entry.IsFlag = Flag && Flag->isBool() && Flag->boolValue();
+    Out.push_back(std::move(Entry));
+  }
+  return true;
 }

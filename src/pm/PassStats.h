@@ -66,9 +66,6 @@ public:
   /// All counters in registration order.
   const std::deque<StatEntry> &entries() const { return Entries; }
 
-  /// Counters of one pass, in registration order.
-  std::vector<StatEntry> entriesForPass(const std::string &Pass) const;
-
   /// Sums every counter named \p Name across passes (e.g. the total
   /// `sext_eliminated` over elimination engines).
   uint64_t total(const std::string &Name) const;
@@ -102,6 +99,22 @@ private:
 /// `SXE_PASS_STAT_FLAG(Ctx, pde_variant) = 1;`.
 #define SXE_PASS_STAT_FLAG(Ctx, StatName)                                     \
   ((Ctx).stats().flag(this->name(), #StatName))
+
+class JsonValue;
+class JsonWriter;
+
+/// Writes \p Entries as the stats-entry array the persistent cache entry
+/// (jit/PersistentCache.h) and the serve reply (serve/Protocol.h) share:
+/// `[{"pass": P, "name": N, "value": V}, ...]`, plus `"flag": true` on
+/// mode flags.
+void encodeStatEntries(JsonWriter &J, const std::deque<StatEntry> &Entries);
+void encodeStatEntries(JsonWriter &J, const std::vector<StatEntry> &Entries);
+
+/// Reads a stats-entry array written by encodeStatEntries into \p Out.
+/// Returns false with \p Error set when \p Array is not an array or an
+/// element is not an object; a missing or non-numeric value reads as 0.
+bool decodeStatEntries(const JsonValue &Array, std::vector<StatEntry> &Out,
+                       std::string &Error);
 
 } // namespace sxe
 

@@ -11,10 +11,6 @@
 ///
 ///   conversion64        sext_generated
 ///   general-opts        rewrites
-///   simplify-cfg        blocks_removed          (standalone building block)
-///   local-opts          rewrites                (standalone building block)
-///   extension-pre       ext_removed_or_hoisted  (standalone building block)
-///   dce                 instrs_removed          (standalone building block)
 ///   dummy-insertion     dummy_added
 ///   insertion           sext_inserted, pde_variant
 ///   order-determination extensions_ordered, by_frequency
@@ -24,11 +20,6 @@
 ///                       dummy_removed, subscript_extended,
 ///                       theorem1_fired .. theorem4_fired
 ///   first-algorithm     sext_eliminated
-///
-/// The default pipelines (pm/InstrumentedPipeline.h) use the composite
-/// general-opts driver; the four standalone step-2 wrappers exist so
-/// custom PassManager stacks (tests, tools) can run and measure them
-/// individually.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,12 +39,6 @@ std::unique_ptr<Pass> createConversion64Pass(GenPolicy Policy);
 /// Step 2: the composite general-optimization driver (simplify-cfg,
 /// local-opts, extension-pre, dce to a fixpoint).
 std::unique_ptr<Pass> createGeneralOptsPass();
-
-// Standalone step-2 building blocks.
-std::unique_ptr<Pass> createSimplifyCFGPass();
-std::unique_ptr<Pass> createLocalOptsPass();
-std::unique_ptr<Pass> createExtensionPREPass();
-std::unique_ptr<Pass> createDeadCodeElimPass();
 
 /// Phase (3)-1a: dummy just_extended markers after array accesses.
 std::unique_ptr<Pass> createDummyInsertionPass();

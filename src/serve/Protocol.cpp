@@ -7,10 +7,10 @@
 
 #include "serve/Protocol.h"
 
+#include "obs/TraceContext.h"
 #include "support/Json.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -181,13 +181,6 @@ bool readFrame(int Fd, FrameType &Type, std::string &Payload,
 // Payload encoding
 //===----------------------------------------------------------------------===//
 
-static std::string hex16(uint64_t Value) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(Value));
-  return Buf;
-}
-
 /// Optional trace id: absent or malformed decodes as 0 so pre-trace
 /// peers interoperate.
 static uint64_t traceIdField(const JsonValue &Doc, const char *Name) {
@@ -214,7 +207,7 @@ std::string encodeServeRequest(const ServeRequest &Request) {
   if (!Request.WantIR)
     J.keyValue("want_ir", false);
   if (Request.TraceId)
-    J.keyValue("trace_id", hex16(Request.TraceId));
+    J.keyValue("trace_id", traceIdHex(Request.TraceId));
   if (Request.ClientRequestId)
     J.keyValue("client_request_id", Request.ClientRequestId);
   J.endObject();
@@ -292,22 +285,12 @@ std::string encodeServeReply(const ServeReply &Reply) {
   }
   if (Reply.Ok) {
     J.keyValue("tier", serveTierName(Reply.Tier));
-    J.keyValue("ir_hash", hex16(Reply.InputIRHash));
+    J.keyValue("ir_hash", traceIdHex(Reply.InputIRHash));
     if (!Reply.IRText.empty())
       J.keyValue("ir", Reply.IRText);
     if (!Reply.Stats.empty()) {
       J.key("stats");
-      J.beginArray();
-      for (const StatEntry &Entry : Reply.Stats) {
-        J.beginObject();
-        J.keyValue("pass", Entry.Pass);
-        J.keyValue("name", Entry.Name);
-        J.keyValue("value", Entry.Value);
-        if (Entry.IsFlag)
-          J.keyValue("flag", true);
-        J.endObject();
-      }
-      J.endArray();
+      encodeStatEntries(J, Reply.Stats);
     }
     if (!Reply.RemarksJsonl.empty())
       J.keyValue("remarks_jsonl", Reply.RemarksJsonl);
@@ -317,7 +300,7 @@ std::string encodeServeReply(const ServeReply &Reply) {
   if (Reply.WallNanos)
     J.keyValue("wall_ns", Reply.WallNanos);
   if (Reply.TraceId)
-    J.keyValue("trace_id", hex16(Reply.TraceId));
+    J.keyValue("trace_id", traceIdHex(Reply.TraceId));
   if (Reply.RequestId)
     J.keyValue("request_id", Reply.RequestId);
   J.endObject();
@@ -344,24 +327,9 @@ bool decodeServeReply(const std::string &Payload, ServeReply &Out,
         std::strtoull(Doc.stringField("ir_hash").c_str(), nullptr, 16);
     Out.IRText = Doc.stringField("ir");
     Out.RemarksJsonl = Doc.stringField("remarks_jsonl");
-    if (const JsonValue *Stats = Doc.find("stats")) {
-      if (!Stats->isArray()) {
-        Error = "reply field 'stats' is not an array";
+    if (const JsonValue *Stats = Doc.find("stats"))
+      if (!decodeStatEntries(*Stats, Out.Stats, Error))
         return false;
-      }
-      for (const JsonValue &Item : Stats->array()) {
-        if (!Item.isObject()) {
-          Error = "reply stats entry is not an object";
-          return false;
-        }
-        StatEntry Entry;
-        Entry.Pass = Item.stringField("pass");
-        Entry.Name = Item.stringField("name");
-        Entry.Value = numberField(Item, "value");
-        Entry.IsFlag = boolField(Item, "flag", false);
-        Out.Stats.push_back(std::move(Entry));
-      }
-    }
   }
   Out.QueueWaitNanos = numberField(Doc, "queue_wait_ns");
   Out.WallNanos = numberField(Doc, "wall_ns");

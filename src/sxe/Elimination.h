@@ -45,36 +45,25 @@
 #ifndef SXE_SXE_ELIMINATION_H
 #define SXE_SXE_ELIMINATION_H
 
-#include "analysis/ProfileInfo.h"
 #include "ir/Function.h"
 #include "support/Timer.h"
-#include "target/TargetInfo.h"
 
-#include <cstdint>
 #include <vector>
 
 namespace sxe {
 
+class AnalysisCache;
 class RemarkCollector;
 
-/// Configuration of the elimination phase.
+/// Configuration of the elimination phase. The analysis configuration —
+/// target, array-length limit (Theorem 4's maxlen), and the branch-guard
+/// range toggle (DESIGN.md decision 4) — belongs to the AnalysisCache the
+/// phase runs against.
 struct EliminationOptions {
-  const TargetInfo *Target = nullptr;
-  /// When set, the CFG, UD/DU chains, and value ranges come from this
-  /// shared cache instead of private builds; its configuration (target,
-  /// array-length limit, guard toggle) must match these options. The
-  /// phase mutates the cached chains incrementally as it eliminates; each
-  /// splice accompanies an IR mutation, so the snapshot epoch-invalidates
-  /// before any later consumer reads it.
-  class AnalysisCache *Cache = nullptr;
   bool EnableArrayTheorems = false;
-  uint32_t MaxArrayLen = 0x7FFFFFFF;
   /// Ablation toggle: the inductive add/sub/mul rule in the live
   /// extendedness query (DESIGN.md decision 5).
   bool EnableInductiveArith = true;
-  /// Ablation toggle: branch-guard refinement in the value ranges
-  /// (DESIGN.md decision 4).
-  bool EnableGuardRanges = true;
   /// When set, accumulates the UD/DU chain (and range analysis) build
   /// time, reported separately in Table 3 ("UD/DU chain creation").
   Timer *ChainTimer = nullptr;
@@ -108,8 +97,13 @@ struct EliminationStats {
 /// Runs EliminateOneExtend over the extensions of \p F in the given
 /// \p Order (from sxe/OrderDetermination.h), then removes the dummy
 /// markers. Entries in \p Order must be extension instructions of \p F.
+/// The CFG, UD/DU chains, and value ranges come from \p Cache, which
+/// must have a target. The phase mutates the cached chains incrementally
+/// as it eliminates; each splice accompanies an IR mutation, so the
+/// snapshot epoch-invalidates before any later consumer reads it.
 EliminationStats runElimination(Function &F,
                                 const std::vector<Instruction *> &Order,
+                                AnalysisCache &Cache,
                                 const EliminationOptions &Options);
 
 } // namespace sxe

@@ -55,13 +55,8 @@ void applyTransfer(const Function &F, const TargetInfo &Target,
 } // namespace
 
 unsigned sxe::runFirstAlgorithm(Function &F, const TargetInfo &Target,
-                                AnalysisCache *Cache) {
-  std::unique_ptr<AnalysisCache> Own;
-  if (!Cache) {
-    Own = std::make_unique<AnalysisCache>(F);
-    Cache = Own.get();
-  }
-  const CFG &Cfg = Cache->cfg();
+                                AnalysisCache &Cache) {
+  const CFG &Cfg = Cache.cfg();
   const auto &RPO = Cfg.reversePostOrder();
   size_t Words = (F.numRegs() + 63) / 64;
 

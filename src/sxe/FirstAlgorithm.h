@@ -30,9 +30,9 @@ namespace sxe {
 class AnalysisCache;
 
 /// Runs the backward-dataflow elimination over \p F. Returns the number of
-/// extensions removed. \p Cache, when given, supplies the CFG.
+/// extensions removed. \p Cache supplies the CFG.
 unsigned runFirstAlgorithm(Function &F, const TargetInfo &Target,
-                           AnalysisCache *Cache = nullptr);
+                           AnalysisCache &Cache);
 
 } // namespace sxe
 

@@ -112,11 +112,6 @@ struct PipelineStats {
   uint64_t ChainCreationNanos = 0; ///< Table 3 "UD/DU chain creation".
   uint64_t SxeOptNanos = 0;        ///< Table 3 "sign extension opts (all)".
   uint64_t TotalNanos = 0;
-
-  uint64_t othersNanos() const {
-    uint64_t Accounted = ChainCreationNanos + SxeOptNanos;
-    return TotalNanos > Accounted ? TotalNanos - Accounted : 0;
-  }
 };
 
 /// Runs the configured pipeline over every function of \p M, in place.

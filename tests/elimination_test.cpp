@@ -8,6 +8,7 @@
 //
 //===--------------------------------------------------------------------------------===//
 
+#include "analysis/AnalysisCache.h"
 #include "interp/Interpreter.h"
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
@@ -32,11 +33,11 @@ EliminationStats eliminateBasic(Function &F,
                                 const TargetInfo &T = TargetInfo::ia64(),
                                 bool ArrayTheorems = false) {
   insertDummyExtends(F);
-  std::vector<Instruction *> Order = extensionsInReverseDFS(F);
+  AnalysisCache Cache(F, &T);
+  std::vector<Instruction *> Order = extensionsInReverseDFS(Cache);
   EliminationOptions Options;
-  Options.Target = &T;
   Options.EnableArrayTheorems = ArrayTheorems;
-  return runElimination(F, Order, Options);
+  return runElimination(F, Order, Cache, Options);
 }
 
 TEST(ConversionTest, GenDefInsertsAfterUnextendedDefs) {
@@ -323,7 +324,8 @@ TEST(FirstAlgorithmTest, EliminatesWhenNoDemand) {
   Reg Y = B.and32(X, P, "y"); // W32 use: no demand.
   B.ret(Y);                   // I32 return demands Y, not X.
 
-  unsigned Removed = runFirstAlgorithm(*F, TargetInfo::ia64());
+  AnalysisCache Cache(*F);
+  unsigned Removed = runFirstAlgorithm(*F, TargetInfo::ia64(), Cache);
   EXPECT_EQ(Removed, 1u);
 }
 
@@ -341,7 +343,8 @@ TEST(FirstAlgorithmTest, KeepsExtensionDemandedByArrayIndex) {
   Reg V = B.arrayLoad(Type::I32, A, I, "v");
   B.ret(V);
 
-  EXPECT_EQ(runFirstAlgorithm(*F, TargetInfo::ia64()), 0u);
+  AnalysisCache Cache(*F);
+  EXPECT_EQ(runFirstAlgorithm(*F, TargetInfo::ia64(), Cache), 0u);
   EXPECT_EQ(countSext(*F), 1u);
 }
 

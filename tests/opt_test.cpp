@@ -1,5 +1,6 @@
 //===- tests/opt_test.cpp - General optimization tests ---------------------------===//
 
+#include "analysis/AnalysisCache.h"
 #include "interp/Interpreter.h"
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
@@ -107,7 +108,8 @@ TEST(DeadCodeElimTest, RemovesDeadPureDefs) {
   B.ret(P);
   (void)DeadToo;
 
-  unsigned Removed = runDeadCodeElim(*F);
+  AnalysisCache Cache(*F);
+  unsigned Removed = runDeadCodeElim(*F, Cache);
   EXPECT_EQ(Removed, 2u);
   EXPECT_EQ(F->countInstructions(), 1u);
 }
@@ -123,7 +125,8 @@ TEST(DeadCodeElimTest, KeepsTrappingInstructions) {
   B.ret(P);
   (void)Dead;
 
-  runDeadCodeElim(*F);
+  AnalysisCache Cache(*F);
+  runDeadCodeElim(*F, Cache);
   EXPECT_EQ(countOpcode(*F, Opcode::Div), 1u);
 }
 
@@ -151,7 +154,8 @@ TEST(DeadCodeElimTest, KeepsLiveLoopValues) {
   B.ret(I);
 
   size_t Before = F->countInstructions();
-  runDeadCodeElim(*F);
+  AnalysisCache Cache(*F);
+  runDeadCodeElim(*F, Cache);
   EXPECT_EQ(F->countInstructions(), Before);
 }
 
@@ -166,7 +170,8 @@ TEST(ExtensionPRETest, RemovesBackToBackExtensions) {
   B.sextTo(X, 32, X); // Redundant on every path.
   B.ret(X);
 
-  unsigned Changed = runExtensionPRE(*F, TargetInfo::ia64());
+  AnalysisCache Cache(*F);
+  unsigned Changed = runExtensionPRE(*F, TargetInfo::ia64(), Cache);
   EXPECT_GE(Changed, 1u);
   EXPECT_EQ(countSext(*F), 1u);
 }
@@ -181,7 +186,8 @@ TEST(ExtensionPRETest, RemovesExtensionAfterKnownExtendedDef) {
   B.sextTo(C, 32, C);
   B.ret(C);
 
-  runExtensionPRE(*F, TargetInfo::ia64());
+  AnalysisCache Cache(*F);
+  runExtensionPRE(*F, TargetInfo::ia64(), Cache);
   EXPECT_EQ(countSext(*F), 0u);
 }
 
@@ -216,7 +222,8 @@ TEST(ExtensionPRETest, HoistsLoopInvariantExtension) {
   B.setBlock(Exit);
   B.ret(X);
 
-  runExtensionPRE(*F, TargetInfo::ia64());
+  AnalysisCache Cache(*F);
+  runExtensionPRE(*F, TargetInfo::ia64(), Cache);
   EXPECT_EQ(countSext(*Body), 0u);
   EXPECT_EQ(countSext(*Pre), 1u);
 }
@@ -254,7 +261,9 @@ TEST(GeneralOptsTest, PreservesSemantics) {
   B.ret(Wide);
 
   auto Reference = cloneModule(*M);
-  runGeneralOpts(*M->findFunction("main"), TargetInfo::ia64());
+  Function &Main = *M->findFunction("main");
+  AnalysisCache Cache(Main);
+  runGeneralOpts(Main, TargetInfo::ia64(), Cache);
   ASSERT_TRUE(moduleVerifies(*M));
 
   InterpOptions Java;

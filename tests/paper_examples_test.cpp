@@ -10,6 +10,8 @@
 //    the loop (Figure 8(a)).
 //  - Figure 9: with order determination, the in-loop extension is
 //    eliminated (Result 1).
+//  - Figure 10: the subscript i-2 loses its extension exactly when the
+//    configured maximum array length puts Theorem 4 in reach.
 //
 //===-----------------------------------------------------------------------===//
 
@@ -238,6 +240,63 @@ TEST(PaperExamples, Figure9OrderDeterminationPrefersLoopExtension) {
   // stays.
   EXPECT_EQ(countSext(*F->findBlock("loop")), 0u) << printFunction(*F);
   EXPECT_EQ(countSext(*F->findBlock("entry")), 1u) << printFunction(*F);
+}
+
+/// Figure 10's shape, as in examples/array_theorems.cpp: the subscript
+/// i-2 comes from an unbounded sign-extended parameter, so only Theorem 4
+/// can discharge it, and only when j = -2 >= (maxlen-1)-0x7fffffff.
+///   i = i0; do { i = i - 2; j = a[i] & C; t += j; } while (i > start);
+std::unique_ptr<Module> buildFigure10() {
+  auto M = std::make_unique<Module>("figure10");
+  Function *F = M->createFunction("fig10", Type::F64);
+  Reg IStart = F->addParam(Type::I32, "i0");
+  Reg A = F->addParam(Type::ArrayRef, "a");
+  Reg Start = F->addParam(Type::I32, "start");
+
+  IRBuilder B(F);
+  B.startBlock("entry");
+  Reg Zero = B.constI32(0);
+  Reg I = B.copy(IStart, "i");
+  Reg T = B.copy(Zero, "t");
+  Reg Two = B.constI32(2);
+  Reg C = B.constI32(0x0FFFFFFF, "C");
+  BasicBlock *Loop = F->createBlock("loop");
+  BasicBlock *Exit = F->createBlock("exit");
+  B.jmp(Loop);
+
+  B.setBlock(Loop);
+  B.binopTo(I, Opcode::Sub, Width::W32, I, Two);
+  Reg J = B.arrayLoad(Type::I32, A, I, "j");
+  B.binopTo(J, Opcode::And, Width::W32, J, C);
+  B.binopTo(T, Opcode::Add, Width::W32, T, J);
+  Reg Cond = B.cmp32(CmpPred::SGT, I, Start);
+  B.br(Cond, Loop, Exit);
+
+  B.setBlock(Exit);
+  Reg D = B.i2d(T, "d");
+  B.ret(D);
+  return M;
+}
+
+/// Theorem 4's maxlen reaches the eliminator through the analysis
+/// configuration: at the Java limit the in-loop extension of i-2 stays;
+/// at the paper's example limit 0x7fff0001 it is gone.
+TEST(PaperExamples, Figure10MaxArrayLengthDecidesTheorem4) {
+  auto JavaLimit = buildFigure10();
+  PipelineConfig Full = PipelineConfig::forVariant(Variant::All);
+  Full.MaxArrayLen = 0x7FFFFFFF;
+  runPipeline(*JavaLimit, Full);
+  ASSERT_TRUE(moduleVerifies(*JavaLimit, /*AllowDummies=*/false));
+  Function &KeptF = *JavaLimit->findFunction("fig10");
+  EXPECT_EQ(countSext(*KeptF.findBlock("loop")), 1u) << printFunction(KeptF);
+
+  auto Limited = buildFigure10();
+  PipelineConfig Small = PipelineConfig::forVariant(Variant::All);
+  Small.MaxArrayLen = 0x7FFF0001;
+  runPipeline(*Limited, Small);
+  ASSERT_TRUE(moduleVerifies(*Limited, /*AllowDummies=*/false));
+  Function &GoneF = *Limited->findFunction("fig10");
+  EXPECT_EQ(countSext(*GoneF.findBlock("loop")), 0u) << printFunction(GoneF);
 }
 
 TEST(PaperExamples, Figure7MachineOracleMatchesJavaOracle) {

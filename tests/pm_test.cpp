@@ -20,6 +20,7 @@
 #include "pm/InstrumentedPipeline.h"
 #include "pm/Passes.h"
 #include "pm/Report.h"
+#include "support/Json.h"
 #include "target/StaticCounts.h"
 
 #include <gtest/gtest.h>
@@ -106,7 +107,6 @@ public:
         return;
       }
   }
-  bool preservesCFG() const override { return true; }
 };
 
 /// A test-only pass that silently inserts a sign extension without
@@ -124,7 +124,6 @@ public:
         return;
       }
   }
-  bool preservesCFG() const override { return true; }
 };
 
 } // namespace
@@ -180,6 +179,38 @@ TEST(PassStatsTest, EliminatedEqualsStaticCensusDelta) {
   uint64_t Eliminated = Stats.value("elimination", "sext_eliminated");
   EXPECT_GT(Eliminated, 0u);
   EXPECT_EQ(Before - After, Eliminated);
+}
+
+TEST(PassStatsTest, EntryCodecRoundTripsAndRejectsNonObjects) {
+  PassStats Stats;
+  Stats.counter("elimination", "sext_eliminated") = 7;
+  Stats.flag("insertion", "pde_variant") = 1;
+  JsonWriter J;
+  encodeStatEntries(J, Stats.entries());
+
+  JsonValue Array;
+  std::string Error;
+  ASSERT_TRUE(parseJson(J.str(), Array, Error)) << Error;
+  std::vector<StatEntry> Decoded;
+  ASSERT_TRUE(decodeStatEntries(Array, Decoded, Error)) << Error;
+  ASSERT_EQ(Decoded.size(), 2u);
+  EXPECT_EQ(Decoded[0].Pass, "elimination");
+  EXPECT_EQ(Decoded[0].Name, "sext_eliminated");
+  EXPECT_EQ(Decoded[0].Value, 7u);
+  EXPECT_FALSE(Decoded[0].IsFlag);
+  EXPECT_EQ(Decoded[1].Name, "pde_variant");
+  EXPECT_TRUE(Decoded[1].IsFlag);
+
+  // Both the persistent-cache entry and the serve reply decode through
+  // this one function, so both refuse a malformed stats array.
+  for (const char *Bad : {R"([{"pass": "p", "name": "n", "value": 1}, 3])",
+                          R"({"pass": "p"})"}) {
+    ASSERT_TRUE(parseJson(Bad, Array, Error)) << Error;
+    std::vector<StatEntry> Ignored;
+    Error.clear();
+    EXPECT_FALSE(decodeStatEntries(Array, Ignored, Error)) << Bad;
+    EXPECT_FALSE(Error.empty()) << Bad;
+  }
 }
 
 TEST(VerifyEachTest, NamesTheCorruptingPass) {

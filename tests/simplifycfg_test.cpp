@@ -1,5 +1,6 @@
 //===- tests/simplifycfg_test.cpp - CFG cleanup tests ------------------------------===//
 
+#include "analysis/AnalysisCache.h"
 #include "interp/Interpreter.h"
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
@@ -31,7 +32,8 @@ TEST(SimplifyCFGTest, ThreadsTrivialJumpChain) {
   B.setBlock(End);
   B.ret(P);
 
-  unsigned Removed = runSimplifyCFG(*F);
+  AnalysisCache Cache(*F);
+  unsigned Removed = runSimplifyCFG(*F, Cache);
   EXPECT_GE(Removed, 2u);
   // Everything collapses into the entry block.
   EXPECT_EQ(F->numBlocks(), 1u);
@@ -56,7 +58,8 @@ TEST(SimplifyCFGTest, MergesSinglePredecessorSuccessor) {
     if (I.opcode() == Opcode::Add)
       SumId = I.id();
 
-  runSimplifyCFG(*F);
+  AnalysisCache Cache(*F);
+  runSimplifyCFG(*F, Cache);
   EXPECT_EQ(F->numBlocks(), 1u);
   // Instruction ids survive the merge (profile keys).
   bool Found = false;
@@ -92,7 +95,8 @@ TEST(SimplifyCFGTest, KeepsLoopStructure) {
   B.setBlock(Exit);
   B.ret(I);
 
-  runSimplifyCFG(*F);
+  AnalysisCache Cache(*F);
+  runSimplifyCFG(*F, Cache);
   ASSERT_TRUE(moduleVerifies(*M));
   // The loop must survive (head has two predecessors, body loops back).
   EXPECT_GE(F->numBlocks(), 2u);
@@ -111,7 +115,8 @@ TEST(SimplifyCFGTest, RemovesUnreachableBlocks) {
   B.setBlock(Orphan);
   B.retVoid();
 
-  EXPECT_EQ(runSimplifyCFG(*F), 1u);
+  AnalysisCache Cache(*F);
+  EXPECT_EQ(runSimplifyCFG(*F, Cache), 1u);
   EXPECT_EQ(F->numBlocks(), 1u);
 }
 
@@ -123,8 +128,10 @@ TEST(SimplifyCFGTest, PreservesWorkloadSemantics) {
     auto Pristine = W->Build(Params);
     auto Simplified = cloneModule(*Pristine);
     unsigned Removed = 0;
-    for (const auto &F : Simplified->functions())
-      Removed += runSimplifyCFG(*F);
+    for (const auto &F : Simplified->functions()) {
+      AnalysisCache Cache(*F);
+      Removed += runSimplifyCFG(*F, Cache);
+    }
     EXPECT_GT(Removed, 0u) << Name; // Structured builders leave joins.
     ASSERT_TRUE(moduleVerifies(*Simplified));
 
