@@ -421,6 +421,11 @@ TEST(ServeDaemon, DeadlineExpiryUnderSaturatedQueue) {
   ASSERT_TRUE(Daemon.start(Error)) << Error;
 
   // Saturate the single worker with heavy, hot compiles from one thread.
+  // Each is sized to compile in several milliseconds: a 1ms-deadline
+  // request queued behind one must expire however the two clients
+  // interleave. (A 24x8 module compiles in under 2ms on a 4-core VM, so a
+  // doomed request that queued behind the tail of one could still make
+  // its deadline.)
   std::thread Background([&] {
     ServeClient Heavy;
     std::string BgError;
@@ -429,7 +434,7 @@ TEST(ServeDaemon, DeadlineExpiryUnderSaturatedQueue) {
     for (int I = 0; I < 4; ++I) {
       ServeRequest Request;
       Request.Name = "heavy" + std::to_string(I);
-      Request.Source = makeHeavySource(24, 8, /*Salt=*/I);
+      Request.Source = makeHeavySource(96, 8, /*Salt=*/I);
       Request.Hotness = 1000.0; // Serve before the doomed request.
       Request.WantIR = false;
       ServeReply Reply;
