@@ -96,6 +96,16 @@ inline void finishBenchReport(JsonWriter &J, const BenchContext &Ctx) {
     std::fprintf(stderr, "cannot write %s\n", Ctx.JsonPath.c_str());
 }
 
+/// Writes one native compile's wall time and its per-phase split as keys
+/// of the current object.
+inline void emitNativeCompileJson(JsonWriter &J, const NativeCompileInfo &C) {
+  J.keyValue("compile_ns", C.CompileNanos);
+  J.keyValue("lower_ns", C.LowerNanos);
+  J.keyValue("regalloc_ns", C.RegAllocNanos);
+  J.keyValue("verify_ns", C.VerifyNanos);
+  J.keyValue("emit_ns", C.EmitNanos);
+}
+
 /// Emits one (workload, variant) measurement row.
 inline void emitVariantRowJson(JsonWriter &J, const VariantRow &Row) {
   J.beginObject();
@@ -128,7 +138,7 @@ inline void emitVariantRowJson(JsonWriter &J, const VariantRow &Row) {
     J.key("native");
     J.beginObject();
     J.keyValue("wall_ns", Row.NativeWallNanos);
-    J.keyValue("compile_ns", Row.NativeCompileNanos);
+    emitNativeCompileJson(J, Row.NativeCompile);
     J.keyValue("checksum_ok", Row.NativeChecksumOK);
     J.endObject();
   }

@@ -16,7 +16,9 @@
 // scheduler noise on shared runners. The JSON report carries the
 // `exec_interp_ns` / `exec_native_ns` metric family consumed by
 // tools/bench_compare; bench/BENCH_baseline_exec.json is the committed
-// baseline the CI gate diffs against.
+// baseline the CI gate diffs against. Native rows also carry the fastest
+// compile's wall time split by codegen phase (compile_ns, lower_ns,
+// regalloc_ns, verify_ns, emit_ns); no gate reads those.
 //
 //===-----------------------------------------------------------------------------===//
 
@@ -36,6 +38,7 @@ struct ExecRow {
   uint64_t Instructions = 0;
   uint64_t InterpNs = 0; ///< Fastest interpreter wall time.
   uint64_t NativeNs = 0; ///< Fastest native wall time (0 = not run).
+  NativeCompileInfo Compile; ///< The fastest native compile, per phase.
   bool NativeExecuted = false;
   bool ChecksumOK = false;
   bool NativeChecksumOK = false;
@@ -87,6 +90,9 @@ int main(int argc, char **argv) {
         Row.NativeNs = Row.NativeNs == 0
                            ? All->NativeWallNanos
                            : std::min(Row.NativeNs, All->NativeWallNanos);
+        if (Row.Compile.CompileNanos == 0 ||
+            All->NativeCompile.CompileNanos < Row.Compile.CompileNanos)
+          Row.Compile = All->NativeCompile;
       }
     }
     std::fprintf(stderr, "  %-14s interp %8.3f ms%s\n", W.Name,
@@ -141,6 +147,7 @@ int main(int argc, char **argv) {
     if (Row.NativeExecuted) {
       J.keyValue("exec_native_ns", Row.NativeNs);
       J.keyValue("native_speedup", Row.nativeSpeedup());
+      emitNativeCompileJson(J, Row.Compile);
     }
     J.keyValue("checksum_ok",
                Row.ChecksumOK && (!Row.NativeExecuted || Row.NativeChecksumOK));

@@ -12,6 +12,12 @@
 /// register gets one conservative [Start, End] hull interval (holes are not
 /// modeled — exactly the Poletto/Sarkar formulation the allocator wants).
 ///
+/// Liveness is word-parallel: each block's upward-exposed uses and defs are
+/// collected once as 64-bit bitsets, and the fixpoint then iterates
+/// In = Use | (Out & ~Def), Out = union of the successors' In, a word at a
+/// time. The same sets feed the lowering's zero-initialization of locals
+/// read before they are written.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SXE_CODEGEN_LIVEINTERVALS_H
@@ -19,14 +25,31 @@
 
 #include "codegen/MachineIR.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace sxe {
 
-/// Per-block live-in/live-out sets, indexed [block id][vreg - FirstVirtReg].
+/// Per-block live-in/live-out sets as flat word bitsets. Block B's set is
+/// the Words words starting at B * Words; bit R stands for vreg
+/// FirstVirtReg + R.
 struct BlockLiveness {
-  std::vector<std::vector<bool>> LiveIn;
-  std::vector<std::vector<bool>> LiveOut;
+  uint32_t Words = 0; ///< 64-bit words per block set.
+  std::vector<uint64_t> LiveIn;
+  std::vector<uint64_t> LiveOut;
+
+  const uint64_t *liveInOf(uint32_t Block) const {
+    return LiveIn.data() + size_t(Block) * Words;
+  }
+  const uint64_t *liveOutOf(uint32_t Block) const {
+    return LiveOut.data() + size_t(Block) * Words;
+  }
+  bool liveIn(uint32_t Block, uint32_t R) const {
+    return (liveInOf(Block)[R / 64] >> (R % 64)) & 1;
+  }
+  bool liveOut(uint32_t Block, uint32_t R) const {
+    return (liveOutOf(Block)[R / 64] >> (R % 64)) & 1;
+  }
 };
 
 /// Assigns layout-order positions to every instruction (MInst::Pos), in
@@ -34,7 +57,8 @@ struct BlockLiveness {
 /// one past the last assigned position.
 uint32_t numberMachineInsts(MFunction &MF);
 
-/// Backward block-level liveness to a fixpoint.
+/// Backward block-level liveness to a fixpoint. Block ids must equal the
+/// blocks' positions in MF.Blocks.
 BlockLiveness computeBlockLiveness(const MFunction &MF);
 
 /// One virtual register's conservative live range.

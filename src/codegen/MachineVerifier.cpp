@@ -153,22 +153,32 @@ std::string sxe::verifyMachineFunction(
   }
 
   if (Intervals) {
-    for (size_t A = 0; A < Intervals->size(); ++A) {
-      const LiveInterval &IA = (*Intervals)[A];
-      if (IA.PhysReg == MNoReg)
+    // One sweep in Start order, the order allocateRegisters returns. An
+    // interval overlaps an earlier one on its register exactly when it
+    // overlaps the latest-ending of them. Until the first overlap a
+    // register's intervals are disjoint, so that is simply the latest one
+    // seen.
+    const LiveInterval *Latest[NumPhysRegs] = {};
+    uint32_t PrevStart = 0;
+    for (const LiveInterval &IB : *Intervals) {
+      if (IB.Start < PrevStart)
+        return MF.name() + ": intervals not sorted by start";
+      PrevStart = IB.Start;
+      if (IB.PhysReg == MNoReg)
         continue;
-      for (size_t B = A + 1; B < Intervals->size(); ++B) {
-        const LiveInterval &IB = (*Intervals)[B];
-        if (IB.PhysReg != IA.PhysReg)
-          continue;
-        if (IA.overlaps(IB))
-          return MF.name() + ": intervals v" +
-                 std::to_string(IA.VReg - FirstVirtReg) + " [" +
-                 std::to_string(IA.Start) + "," + std::to_string(IA.End) +
-                 "] and v" + std::to_string(IB.VReg - FirstVirtReg) + " [" +
-                 std::to_string(IB.Start) + "," + std::to_string(IB.End) +
-                 "] overlap in " + physRegName(IA.PhysReg);
-      }
+      if (!isPhysReg(IB.PhysReg))
+        return MF.name() + ": interval v" +
+               std::to_string(IB.VReg - FirstVirtReg) +
+               " assigned to non-register " + std::to_string(IB.PhysReg);
+      const LiveInterval *&IA = Latest[IB.PhysReg];
+      if (IA && IA->overlaps(IB))
+        return MF.name() + ": intervals v" +
+               std::to_string(IA->VReg - FirstVirtReg) + " [" +
+               std::to_string(IA->Start) + "," + std::to_string(IA->End) +
+               "] and v" + std::to_string(IB.VReg - FirstVirtReg) + " [" +
+               std::to_string(IB.Start) + "," + std::to_string(IB.End) +
+               "] overlap in " + physRegName(IB.PhysReg);
+      IA = &IB;
     }
   }
   return "";

@@ -35,7 +35,7 @@
 namespace sxe {
 
 /// Verifies allocated \p MF; \p Intervals, when provided, additionally gets
-/// the overlap check. Returns an empty string on success, otherwise a
+/// the overlap check and must be sorted by ascending Start. Returns an empty string on success, otherwise a
 /// description of the first problem found.
 std::string verifyMachineFunction(const MFunction &MF,
                                   const std::vector<LiveInterval> *Intervals =

@@ -215,22 +215,35 @@ NativeModule::compile(const Module &M, const NativeOptions &Opts,
 
   LoweringOptions LOpts;
   LOpts.CheckWildAddresses = Opts.CheckWildAddresses;
-  NM->P->MIR = lowerModule(M, &NM->P->Info.Lowering, LOpts);
+  NativeCompileInfo &Info = NM->P->Info;
+  // Charges the wall time since the previous lap to \p Phase.
+  uint64_t Lap = Start;
+  auto ChargeLap = [&Lap](uint64_t &Phase) {
+    uint64_t Now = wallNowNanos();
+    Phase += Now - Lap;
+    Lap = Now;
+  };
+
+  NM->P->MIR = lowerModule(M, &Info.Lowering, LOpts);
+  ChargeLap(Info.LowerNanos);
   MModule &MIR = *NM->P->MIR;
 
   for (auto &MF : MIR.Functions) {
     RegAllocResult RA = allocateRegisters(*MF, Opts.RegAlloc);
-    NM->P->Info.SpillSlots += RA.NumSpillSlots;
-    NM->P->Info.SpilledIntervals += RA.NumSpilledIntervals;
-    NM->P->Info.SpillLoads += RA.NumSpillLoads;
-    NM->P->Info.SpillStores += RA.NumSpillStores;
+    ChargeLap(Info.RegAllocNanos);
+    Info.SpillSlots += RA.NumSpillSlots;
+    Info.SpilledIntervals += RA.NumSpilledIntervals;
+    Info.SpillLoads += RA.NumSpillLoads;
+    Info.SpillStores += RA.NumSpillStores;
     std::string Problem = verifyMachineFunction(*MF, &RA.Intervals);
+    ChargeLap(Info.VerifyNanos);
     if (!Problem.empty())
       reportFatalError("machine verifier: " + MF->name() + ": " + Problem);
   }
 
   EmittedModule EM = emitModule(MIR, makeHelperTable());
-  NM->P->Info.CodeBytes = EM.Code.size();
+  ChargeLap(Info.EmitNanos);
+  Info.CodeBytes = EM.Code.size();
 
   if (!NM->P->Code.allocate(EM.Code.size()))
     return Fail("cannot map a code buffer");
@@ -243,7 +256,7 @@ NativeModule::compile(const Module &M, const NativeOptions &Opts,
   for (size_t Index = 0; Index < MIR.Functions.size(); ++Index)
     NM->P->FnTable[Index] = NM->P->Code.data() + EM.FunctionOffsets[Index];
 
-  NM->P->Info.CompileNanos = wallNowNanos() - Start;
+  Info.CompileNanos = wallNowNanos() - Start;
   return NM;
 }
 

@@ -62,7 +62,12 @@ struct NativeCompileInfo {
   uint32_t SpillLoads = 0;
   uint32_t SpillStores = 0;
   size_t CodeBytes = 0;
-  uint64_t CompileNanos = 0;
+  uint64_t CompileNanos = 0; ///< Wall time of the whole compile().
+  // Wall time of each codegen phase, summed over the module's functions.
+  uint64_t LowerNanos = 0;    ///< lowerModule, zero-init insertion included.
+  uint64_t RegAllocNanos = 0; ///< Intervals, assignment and rewrite.
+  uint64_t VerifyNanos = 0;   ///< verifyMachineFunction.
+  uint64_t EmitNanos = 0;     ///< emitModule.
 };
 
 /// A module compiled to executable x86-64 code.

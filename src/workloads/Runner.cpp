@@ -73,7 +73,7 @@ WorkloadReport sxe::runWorkload(const Workload &W,
       NativeOptions NOpts;
       NOpts.MaxArrayLen = Options.MaxArrayLen;
       if (auto NM = NativeModule::compile(*Clone, NOpts)) {
-        Row.NativeCompileNanos = NM->info().CompileNanos;
+        Row.NativeCompile = NM->info();
         uint64_t NativeStart = wallNowNanos();
         ExecResult Native = NM->run("main");
         Row.NativeWallNanos = wallNowNanos() - NativeStart;

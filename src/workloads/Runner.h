@@ -24,6 +24,7 @@
 #ifndef SXE_WORKLOADS_RUNNER_H
 #define SXE_WORKLOADS_RUNNER_H
 
+#include "codegen/NativeEngine.h"
 #include "interp/Interpreter.h"
 #include "sxe/Pipeline.h"
 #include "target/StaticCounts.h"
@@ -66,7 +67,7 @@ struct VariantRow {
   /// Native x86-64 execution (RunnerOptions::Native on a capable host).
   bool NativeExecuted = false;
   uint64_t NativeWallNanos = 0;    ///< Hardware wall time of the native run.
-  uint64_t NativeCompileNanos = 0; ///< Lowering + regalloc + emission time.
+  NativeCompileInfo NativeCompile; ///< The compile's counts and phase times.
   bool NativeChecksumOK = false;   ///< Native result matched the oracle.
 };
 

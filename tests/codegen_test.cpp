@@ -3,10 +3,13 @@
 // Exercises the baseline x86-64 backend layer by layer: byte-exact
 // encodings of the encoder's memory, division and SSE forms, lowering to
 // machine IR, live-interval construction on branchy and loopy CFGs and
-// around calls, linear-scan allocation under artificially tight register
-// pools (the k+1-values-on-k-registers spill round-trips, and pools so
-// empty that every operand spills), the machine verifier's structural
-// checks, and — on hosts that can execute x86-64 — full
+// around calls, block liveness and intervals against a bit-at-a-time
+// reference (on the kernels, the corpus, random modules and functions
+// whose vreg counts straddle 64-bit word boundaries), linear-scan
+// allocation under artificially tight register pools (the
+// k+1-values-on-k-registers spill round-trips, and pools so empty that
+// every operand spills), the machine verifier's structural and
+// interval-overlap checks, and — on hosts that can execute x86-64 — full
 // native-vs-interpreter parity on hand-built functions and the pinned
 // corpus programs, including trap kinds and messages, the inline array,
 // division, compare and d2i sequences, the call-depth guard, and the
@@ -20,13 +23,20 @@
 #include "codegen/NativeEngine.h"
 #include "codegen/RegAlloc.h"
 #include "codegen/X86Encoder.h"
+#include "fuzz/RandomModuleGenerator.h"
 #include "interp/Interpreter.h"
+#include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
 #include "parser/Parser.h"
+#include "sxe/Pipeline.h"
 #include "target/TargetInfo.h"
+#include "workloads/Kernels.h"
+#include "workloads/Workload.h"
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -330,7 +340,7 @@ TEST(LiveIntervalTest, ValueLiveAcrossDiamondSpansBothArms) {
   // Machine vreg of Base = FirstVirtReg + Base.
   uint32_t BaseV = FirstVirtReg + Base;
   for (uint32_t BlockId = 1; BlockId <= 2; ++BlockId) { // then, else
-    EXPECT_TRUE(BL.LiveIn[BlockId][BaseV - FirstVirtReg])
+    EXPECT_TRUE(BL.liveIn(BlockId, BaseV - FirstVirtReg))
         << "Base not live into arm " << BlockId;
   }
 
@@ -449,6 +459,322 @@ TEST(LiveIntervalTest, CallAtIntervalStartCountsAsCrossing) {
   EXPECT_FALSE(CLI->CrossesCall);
 
   expectNativeMatchesInterp(M);
+}
+
+// --- Liveness against the bit-at-a-time reference --------------------------
+//
+// The liveness fixpoint and interval scan the word-parallel code replaced,
+// one bit at a time, kept as an executable specification: every input
+// below must produce the same per-block sets and the same interval list.
+
+struct ReferenceLiveness {
+  std::vector<std::vector<bool>> LiveIn;
+  std::vector<std::vector<bool>> LiveOut;
+};
+
+ReferenceLiveness referenceBlockLiveness(const MFunction &MF) {
+  size_t NumBlocks = MF.Blocks.size();
+  uint32_t NumVRegs = MF.NextVirtReg - FirstVirtReg;
+  ReferenceLiveness L;
+  L.LiveIn.assign(NumBlocks, std::vector<bool>(NumVRegs, false));
+  L.LiveOut = L.LiveIn;
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    for (size_t BI = NumBlocks; BI-- > 0;) {
+      const MBlock &B = *MF.Blocks[BI];
+      std::vector<bool> Out(NumVRegs, false);
+      const MInst &Term = B.Insts.back();
+      for (unsigned SI = 0; SI < Term.numSuccessors(); ++SI)
+        for (uint32_t R = 0; R < NumVRegs; ++R)
+          if (L.LiveIn[Term.Succs[SI]->id()][R])
+            Out[R] = true;
+      std::vector<bool> Live = Out;
+      for (size_t II = B.Insts.size(); II-- > 0;) {
+        const MInst &I = B.Insts[II];
+        if (I.Def != MNoReg && isVirtReg(I.Def))
+          Live[I.Def - FirstVirtReg] = false;
+        for (uint32_t U : I.Uses)
+          if (isVirtReg(U))
+            Live[U - FirstVirtReg] = true;
+      }
+      Changed |= Out != L.LiveOut[BI] || Live != L.LiveIn[BI];
+      L.LiveOut[BI] = std::move(Out);
+      L.LiveIn[BI] = std::move(Live);
+    }
+  }
+  return L;
+}
+
+/// Hull intervals from a scan of every vreg of every block; a call crosses
+/// an interval when it lies in [Start, End) and is not the call whose
+/// result starts the interval.
+std::vector<LiveInterval> referenceLiveIntervals(MFunction &MF) {
+  numberMachineInsts(MF);
+  ReferenceLiveness L = referenceBlockLiveness(MF);
+  uint32_t NumVRegs = MF.NextVirtReg - FirstVirtReg;
+  std::vector<LiveInterval> ByVReg(NumVRegs);
+  std::vector<bool> Seen(NumVRegs, false);
+  auto Extend = [&](uint32_t VReg, uint32_t Pos) {
+    uint32_t R = VReg - FirstVirtReg;
+    LiveInterval &LI = ByVReg[R];
+    if (!Seen[R]) {
+      Seen[R] = true;
+      LI.VReg = VReg;
+      LI.Start = LI.End = Pos;
+    }
+    LI.Start = std::min(LI.Start, Pos);
+    LI.End = std::max(LI.End, Pos);
+  };
+  for (const auto &B : MF.Blocks) {
+    uint32_t BlockStart = B->Insts.front().Pos;
+    uint32_t BlockEnd = B->Insts.back().Pos;
+    for (uint32_t R = 0; R < NumVRegs; ++R) {
+      if (L.LiveIn[B->id()][R] || L.LiveOut[B->id()][R])
+        Extend(FirstVirtReg + R, BlockStart);
+      if (L.LiveOut[B->id()][R])
+        Extend(FirstVirtReg + R, BlockEnd);
+    }
+    for (const MInst &I : B->Insts) {
+      if (I.Def != MNoReg && isVirtReg(I.Def))
+        Extend(I.Def, I.Pos);
+      for (uint32_t U : I.Uses)
+        if (isVirtReg(U))
+          Extend(U, I.Pos);
+    }
+  }
+  std::vector<LiveInterval> Intervals;
+  for (uint32_t R = 0; R < NumVRegs; ++R)
+    if (Seen[R])
+      Intervals.push_back(ByVReg[R]);
+  for (LiveInterval &LI : Intervals)
+    for (const auto &B : MF.Blocks)
+      for (const MInst &I : B->Insts)
+        if (I.isCall() && I.Pos >= LI.Start && I.Pos < LI.End &&
+            !(I.Pos == LI.Start && I.Def == LI.VReg))
+          LI.CrossesCall = true;
+  std::sort(Intervals.begin(), Intervals.end(),
+            [](const LiveInterval &A, const LiveInterval &B) {
+              return A.Start != B.Start ? A.Start < B.Start : A.VReg < B.VReg;
+            });
+  return Intervals;
+}
+
+/// Lowers \p M and expects every function's liveness and intervals to
+/// match the reference. Returns the largest vreg count seen.
+uint32_t expectLivenessMatchesReference(const Module &M,
+                                        const std::string &What) {
+  uint32_t MaxVRegs = 0;
+  auto MIR = lowerModule(M);
+  for (auto &MFP : MIR->Functions) {
+    MFunction &MF = *MFP;
+    std::string Where = What + ":" + MF.name();
+    uint32_t NumVRegs = MF.NextVirtReg - FirstVirtReg;
+    MaxVRegs = std::max(MaxVRegs, NumVRegs);
+
+    ReferenceLiveness Want = referenceBlockLiveness(MF);
+    BlockLiveness Got = computeBlockLiveness(MF);
+    EXPECT_EQ(Got.Words, (NumVRegs + 63) / 64) << Where;
+    for (uint32_t B = 0; B < MF.Blocks.size(); ++B) {
+      for (uint32_t R = 0; R < NumVRegs; ++R) {
+        if (Got.liveIn(B, R) != Want.LiveIn[B][R] ||
+            Got.liveOut(B, R) != Want.LiveOut[B][R]) {
+          ADD_FAILURE() << Where << ": block " << B << " v" << R
+                        << " differs from the reference";
+          return MaxVRegs;
+        }
+      }
+      // Bits past the last vreg stay clear.
+      if (NumVRegs % 64 != 0) {
+        EXPECT_EQ(Got.liveInOf(B)[Got.Words - 1] >> (NumVRegs % 64), 0u)
+            << Where;
+        EXPECT_EQ(Got.liveOutOf(B)[Got.Words - 1] >> (NumVRegs % 64), 0u)
+            << Where;
+      }
+    }
+    // Parameter loads and zero-inits define everything read in the entry
+    // block before it is written, so nothing is live into it.
+    for (uint32_t R = 0; R < NumVRegs; ++R)
+      EXPECT_FALSE(Want.LiveIn[0][R]) << Where << ": v" << R;
+
+    std::vector<LiveInterval> WantIntervals = referenceLiveIntervals(MF);
+    std::vector<LiveInterval> GotIntervals = computeLiveIntervals(MF);
+    EXPECT_EQ(GotIntervals.size(), WantIntervals.size()) << Where;
+    for (size_t Index = 0;
+         Index < std::min(GotIntervals.size(), WantIntervals.size());
+         ++Index) {
+      const LiveInterval &G = GotIntervals[Index];
+      const LiveInterval &W = WantIntervals[Index];
+      if (G.VReg != W.VReg || G.Start != W.Start || G.End != W.End ||
+          G.CrossesCall != W.CrossesCall) {
+        ADD_FAILURE() << Where << ": interval " << Index << " is v"
+                      << G.VReg - FirstVirtReg << " [" << G.Start << ","
+                      << G.End << "] crosses=" << G.CrossesCall
+                      << ", reference v" << W.VReg - FirstVirtReg << " ["
+                      << W.Start << "," << W.End
+                      << "] crosses=" << W.CrossesCall;
+        break;
+      }
+    }
+  }
+  return MaxVRegs;
+}
+
+/// A clone of \p M after the full pipeline for x86-64, the module the
+/// native engine compiles.
+std::unique_ptr<Module> afterAllPipeline(const Module &M) {
+  auto Clone = cloneModule(M);
+  runPipeline(*Clone, PipelineConfig::forVariant(Variant::All,
+                                                 TargetInfo::x86_64()));
+  return Clone;
+}
+
+/// main(n): a loop whose body is a diamond. acc and i are live around the
+/// back edge and across a call on the `then` arm; t is defined on that arm
+/// only and read at the join, so it is live into the entry block and gets
+/// zero-initialized. \p Pad unused registers are created before the loop's,
+/// pushing the live vregs to the top of the numbering. \p T receives t.
+std::unique_ptr<Module> loopDiamondModule(unsigned Pad, Reg *T = nullptr) {
+  auto M = std::make_unique<Module>("m");
+  Function *Step = M->createFunction("step", Type::I64);
+  {
+    Reg X = Step->addParam(Type::I64, "x");
+    IRBuilder Bld(Step);
+    Bld.startBlock("entry");
+    Bld.ret(Bld.add64(X, Bld.constI64(3)));
+  }
+  Function *F = M->createFunction("main", Type::I64);
+  Reg N = F->addParam(Type::I64, "n");
+  for (unsigned Index = 0; Index < Pad; ++Index)
+    F->newReg(Type::I64, "pad" + std::to_string(Index));
+  IRBuilder Bld(F);
+  BasicBlock *Entry = Bld.startBlock("entry");
+  BasicBlock *Header = F->createBlock("header");
+  BasicBlock *Body = F->createBlock("body");
+  BasicBlock *Then = F->createBlock("then");
+  BasicBlock *Else = F->createBlock("else");
+  BasicBlock *Join = F->createBlock("join");
+  BasicBlock *Exit = F->createBlock("exit");
+  Reg I = F->newReg(Type::I64, "i");
+  Reg Acc = F->newReg(Type::I64, "acc");
+  Reg TReg = F->newReg(Type::I64, "t");
+  if (T)
+    *T = TReg;
+
+  Bld.setBlock(Entry);
+  Bld.constTo(I, 0);
+  Bld.constTo(Acc, 1);
+  Bld.jmp(Header);
+  Bld.setBlock(Header);
+  Bld.br(Bld.cmp64(CmpPred::SLT, I, N, "c"), Body, Exit);
+  Bld.setBlock(Body);
+  Reg Odd = Bld.binop(Opcode::And, Width::W64, I, Bld.constI64(1), "odd");
+  Bld.br(Odd, Then, Else);
+  Bld.setBlock(Then);
+  Bld.callTo(TReg, Step, {Acc});
+  Bld.jmp(Join);
+  Bld.setBlock(Else);
+  Bld.jmp(Join);
+  Bld.setBlock(Join);
+  Bld.binopTo(Acc, Opcode::Add, Width::W64, Acc, TReg);
+  Bld.binopTo(Acc, Opcode::Mul, Width::W64, Acc, Bld.constI64(5));
+  Bld.binopTo(I, Opcode::Add, Width::W64, I, Bld.constI64(1));
+  Bld.jmp(Header);
+  Bld.setBlock(Exit);
+  Bld.ret(Acc);
+  return M;
+}
+
+/// Vregs of loopDiamondModule(Pad)'s main once lowered.
+uint32_t loopDiamondVRegs(unsigned Pad) {
+  auto M = loopDiamondModule(Pad);
+  auto MIR = lowerModule(*M);
+  const MFunction &MF = *MIR->find("main");
+  return MF.NextVirtReg - FirstVirtReg;
+}
+
+TEST(LivenessReferenceTest, AllKernels) {
+  for (const Workload &W : allWorkloads()) {
+    auto M = W.Build(WorkloadParams());
+    expectLivenessMatchesReference(*M, W.Name);
+    expectLivenessMatchesReference(*afterAllPipeline(*M),
+                                   std::string(W.Name) + "/all");
+  }
+}
+
+TEST(LivenessReferenceTest, EveryCorpusProgram) {
+  unsigned Programs = 0;
+  for (const auto &Entry : std::filesystem::directory_iterator(
+           std::string(SXE_SOURCE_DIR) + "/tests/corpus")) {
+    if (Entry.path().extension() != ".sxir")
+      continue;
+    std::ifstream In(Entry.path());
+    std::ostringstream Buffer;
+    Buffer << In.rdbuf();
+    ParseResult Parsed = parseModule(Buffer.str());
+    ASSERT_TRUE(Parsed.ok()) << Entry.path() << ": " << Parsed.Error;
+    std::string Name = Entry.path().filename().string();
+    expectLivenessMatchesReference(*Parsed.M, Name);
+    expectLivenessMatchesReference(*afterAllPipeline(*Parsed.M),
+                                   Name + "/all");
+    ++Programs;
+  }
+  EXPECT_GE(Programs, 10u);
+}
+
+TEST(LivenessReferenceTest, LargeRandomModules) {
+  uint32_t MaxVRegs = 0;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    auto M = RandomModuleGenerator(Seed, GeneratorOptions::large()).generate();
+    MaxVRegs = std::max(
+        MaxVRegs, expectLivenessMatchesReference(
+                      *afterAllPipeline(*M), "seed " + std::to_string(Seed)));
+    if (HasFailure())
+      return;
+  }
+  // The sets span several words.
+  EXPECT_GT(MaxVRegs, 128u);
+}
+
+TEST(LivenessReferenceTest, WordBoundaries) {
+  uint32_t Base = loopDiamondVRegs(0);
+  for (uint32_t Want : {63u, 64u, 65u, 127u, 128u, 129u, 200u}) {
+    ASSERT_GE(Want, Base);
+    auto M = loopDiamondModule(Want - Base);
+    ASSERT_EQ(loopDiamondVRegs(Want - Base), Want);
+    expectLivenessMatchesReference(*M, std::to_string(Want) + " vregs");
+    for (uint64_t N : {0u, 1u, 4u, 7u})
+      expectNativeMatchesInterp(*M, {N});
+  }
+}
+
+TEST(LoweringTest, HighVRegReadBeforeWriteIsZeroInitializedOnce) {
+  Reg T = 0;
+  auto M = loopDiamondModule(/*Pad=*/70, &T);
+  ASSERT_GE(T, 64u);
+  LoweringStats Stats;
+  auto MIR = lowerModule(*M, &Stats);
+  const MFunction &MF = *MIR->find("main");
+  uint32_t TV = FirstVirtReg + T;
+
+  // Only t is read before it is written.
+  EXPECT_EQ(Stats.ZeroInits, 1u);
+  const std::vector<MInst> &Entry = MF.Blocks[0]->Insts;
+  ASSERT_GT(Entry.size(), MF.NumParams);
+  for (uint32_t P = 0; P < MF.NumParams; ++P)
+    EXPECT_EQ(Entry[P].Op, MOp::LoadParam);
+  const MInst &Zero = Entry[MF.NumParams];
+  EXPECT_EQ(Zero.Op, MOp::MovImm);
+  EXPECT_EQ(Zero.Def, TV);
+  EXPECT_EQ(Zero.Imm, 0);
+  unsigned MovImmsToT = 0;
+  for (const auto &B : MF.Blocks)
+    for (const MInst &I : B->Insts)
+      MovImmsToT += I.Op == MOp::MovImm && I.Def == TV;
+  EXPECT_EQ(MovImmsToT, 1u);
+
+  for (uint64_t N : {0u, 1u, 2u, 9u})
+    expectNativeMatchesInterp(*M, {N});
 }
 
 // --- Register allocation ----------------------------------------------------
@@ -604,6 +930,61 @@ TEST(MachineVerifierTest, RejectsRcxOutsideAStore) {
   MFunction &MF = *MIR->Functions[0];
   firstOf(MF, MOp::ArrayCheck).Uses[1] = RCX;
   EXPECT_NE(verifyMachineFunction(MF).find("rcx"), std::string::npos);
+}
+
+/// Intervals on physical registers for the overlap check: one
+/// {vreg index, start, end, register} per entry.
+struct Span {
+  uint32_t V, Start, End, Reg;
+};
+std::string verifyWithIntervals(const std::vector<Span> &Spans) {
+  Module M("m");
+  Function *F = M.createFunction("main", Type::I64);
+  F->addParam(Type::I64, "p");
+  IRBuilder Bld(F);
+  Bld.startBlock("entry");
+  Bld.retVoid();
+  auto MIR = lowerModule(M);
+  MFunction &MF = *MIR->Functions[0];
+  allocateRegisters(MF);
+  std::vector<LiveInterval> Intervals;
+  for (const Span &S : Spans) {
+    LiveInterval LI;
+    LI.VReg = FirstVirtReg + S.V;
+    LI.Start = S.Start;
+    LI.End = S.End;
+    LI.PhysReg = S.Reg;
+    Intervals.push_back(LI);
+  }
+  return verifyMachineFunction(MF, &Intervals);
+}
+
+TEST(MachineVerifierTest, RejectsIntervalsSharingAnEndpoint) {
+  // End is inclusive: [4,8] and [8,12] both hold rbx at position 8.
+  EXPECT_EQ(verifyWithIntervals({{1, 4, 8, RBX}, {2, 8, 12, RBX}}),
+            "main: intervals v1 [4,8] and v2 [8,12] overlap in rbx");
+}
+
+TEST(MachineVerifierTest, AcceptsDisjointIntervalsOnOneRegister) {
+  EXPECT_EQ(verifyWithIntervals({{1, 4, 8, RBX}, {2, 10, 12, RBX}}), "");
+  std::vector<Span> Many;
+  for (uint32_t Index = 0; Index < 200; ++Index)
+    Many.push_back({Index, 4 * Index, 4 * Index + 2, R12});
+  EXPECT_EQ(verifyWithIntervals(Many), "");
+}
+
+TEST(MachineVerifierTest, OverlapWithAnEarlierLongIntervalIsFound) {
+  // v3 overlaps v1, not its neighbour v2 on another register; v4 on
+  // another register again is fine.
+  EXPECT_EQ(verifyWithIntervals({{1, 0, 100, RBX},
+                                 {2, 2, 3, R12},
+                                 {4, 20, 30, RSI},
+                                 {3, 50, 60, RBX}}),
+            "main: intervals v1 [0,100] and v3 [50,60] overlap in rbx");
+  EXPECT_EQ(verifyWithIntervals({{3, 50, 60, RBX}, {1, 0, 100, RBX}}),
+            "main: intervals not sorted by start");
+  EXPECT_EQ(verifyWithIntervals({{1, 0, 4, NumPhysRegs}}),
+            "main: interval v1 assigned to non-register 16");
 }
 
 // --- Native execution: arithmetic parity ------------------------------------

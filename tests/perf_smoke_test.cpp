@@ -1,7 +1,8 @@
 //===- tests/perf_smoke_test.cpp - Compile-time scalability smoke ---------------===//
 //
-// Guards the compile-time overhaul's two load-bearing properties on
-// inputs big enough to notice (random ~5000-instruction functions):
+// Guards the compile path's load-bearing properties on inputs big enough
+// to notice (random ~5000-instruction functions, and a random module whose
+// main has over 300 vregs):
 //
 //  - the shared AnalysisCache builds each analysis at most once per
 //    invalidation epoch: repeat queries hit, unrelated mutations don't
@@ -11,16 +12,24 @@
 //  - the full pipeline over such a function stays verifier-clean, so the
 //    scalability machinery (dense numbering, arena storage, epoch
 //    invalidation) is exercised well past the sizes the golden tests
-//    cover.
+//    cover;
+//  - the native backend compiles a large random module after the full
+//    pipeline, with liveness sets many 64-bit words wide, to code that
+//    traps and returns exactly like the machine-semantics interpreter.
 //
 //===-----------------------------------------------------------------------------===//
 
 #include "analysis/AnalysisCache.h"
+#include "codegen/Lowering.h"
+#include "codegen/NativeEngine.h"
+#include "fuzz/RandomModuleGenerator.h"
+#include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
 #include "ir/Verifier.h"
 #include "pm/InstrumentedPipeline.h"
 #include "support/RNG.h"
+#include "sxe/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -180,6 +189,36 @@ TEST(PerfSmokeTest, PipelineBuildCountsBoundedByEpochs) {
   EXPECT_LE(CS.RangeBuilds, F.irEpoch());
   // The sharing must actually pay: consumers outnumber constructions.
   EXPECT_GT(CS.CfgHits, CS.CfgBuilds);
+}
+
+TEST(PerfSmokeTest, LargeRandomModuleRunsNativelyLikeTheInterpreter) {
+  if (!NativeModule::hostSupported())
+    GTEST_SKIP() << "host cannot execute emitted x86-64 code";
+  // A random module rather than buildLargeModule: run() passes arrayref
+  // arguments as null, and this main takes none.
+  auto M = RandomModuleGenerator(/*Seed=*/12, GeneratorOptions::large())
+               .generate();
+  runPipeline(*M, PipelineConfig::forVariant(Variant::All,
+                                             TargetInfo::x86_64()));
+
+  // Liveness must span several words (313 vregs) and many blocks (85).
+  auto MIR = lowerModule(*M);
+  const MFunction &Main = *MIR->find("main");
+  EXPECT_GT(Main.NextVirtReg - FirstVirtReg, 256u);
+  EXPECT_GE(Main.Blocks.size(), 80u);
+
+  InterpOptions IOpts;
+  IOpts.Target = &TargetInfo::x86_64();
+  IOpts.Semantics = ExecSemantics::Machine;
+  ExecResult Want = Interpreter(*M, IOpts).run("main");
+  std::string Error;
+  auto NM = NativeModule::compile(*M, NativeOptions(), &Error);
+  ASSERT_NE(NM, nullptr) << Error;
+  ExecResult Got = NM->run("main");
+  EXPECT_EQ(Got.Trap, Want.Trap)
+      << "native " << trapKindName(Got.Trap) << ", interpreter "
+      << trapKindName(Want.Trap);
+  EXPECT_EQ(Got.ReturnValue, Want.ReturnValue);
 }
 
 } // namespace
